@@ -49,14 +49,18 @@ def _group_presentation(args) -> presentations.GroupPresentation:
 def _presentation(args):
     if getattr(args, "presentation", None):
         return presentations.parse_presentation(_read(args.presentation))
+    return _catalog_entry(args.preset, args)
+
+
+def _catalog_entry(name: str, args):
     params = {}
-    if getattr(args, "genus", None) is not None:
+    if args.genus is not None:
         params["genus"] = args.genus
-    if getattr(args, "rank", None) is not None:
+    if args.rank is not None:
         params["rank"] = args.rank
-    if getattr(args, "exponents", None) is not None:
+    if args.exponents is not None:
         params["exponents"] = tuple(int(e) for e in args.exponents.split(","))
-    return presentations.catalog(args.preset, **params)
+    return presentations.catalog(name, **params)
 
 
 def _add_presentation_args(sub, required=True):
@@ -108,11 +112,14 @@ def cmd_dehn_solve(args) -> int:
 
 
 def cmd_small_cancel(args) -> int:
+    try:
+        lam = Fraction(args.bound)
+    except ZeroDivisionError:
+        raise ValueError(f"bound {args.bound!r} has a zero denominator") from None
     p = _group_presentation(args)
     if not p.relators:
         raise ValueError("presentation has no relators")
     ratio = presentations.max_piece_ratio(presentations.symmetrize(p))
-    lam = Fraction(args.bound)
     verdict = "holds" if ratio < lam else "fails"
     _emit(args, f"max piece ratio: {ratio}", f"ratio {ratio}")
     _emit(args, f"C'({lam}): {verdict}", f"smallcancel {lam} {verdict}")
@@ -250,14 +257,7 @@ def cmd_tm_encode(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    params = {}
-    if args.genus is not None:
-        params["genus"] = args.genus
-    if args.rank is not None:
-        params["rank"] = args.rank
-    if args.exponents is not None:
-        params["exponents"] = tuple(int(e) for e in args.exponents.split(","))
-    p = presentations.catalog(args.name, **params)
+    p = _catalog_entry(args.name, args)
     if args.rewrite:
         if not isinstance(p, presentations.SemigroupPresentation):
             raise ValueError("--rewrite only applies to semigroup presentations")
@@ -353,6 +353,9 @@ def main(argv=None) -> int:
         return code
     except (ValueError, OSError) as exc:
         print(f"wordproblem: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("wordproblem: error: input nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -12,6 +12,17 @@ Step selection is deterministic: positions are scanned left to right; at
 a position the longest matching majority prefix wins, remaining ties go
 to the lowest relator index.  b may be empty (a whole relator maps to
 the empty word).
+
+Cost.  Each relator is indexed once per call by its shortest majority
+prefix r[:|r|//2 + 1]; a majority match at a position exists exactly
+when one of these prefixes starts there, so a position costs one dict
+lookup per distinct prefix length.  After a replacement only the two
+seams (left part against b^-1, then against the right part) are freely
+reduced, and the scan resumes just left of the first changed letter:
+windows further left are unchanged and were already rejected (Domanski
+and Anshel, J. Algorithms 1985).  So for a fixed presentation the
+positions scanned are linear in |w|; each replacement also rebuilds the
+word tuple once, a copy done in C.
 """
 
 from __future__ import annotations
@@ -45,51 +56,75 @@ class DehnOutcome:
     final_word: Word
 
 
-def _first_letter_buckets(s: SymmetrizedRelators) -> dict:
-    buckets: dict = {}
+def _majority_index(s: SymmetrizedRelators) -> list:
+    """[(h, {r[:h]: [(idx, r), ...]})] with h = |r|//2 + 1, by increasing h."""
+    groups: dict = {}
     for idx, r in enumerate(s.words):
-        buckets.setdefault(r[0], []).append(idx)
-    return buckets
+        h = len(r) // 2 + 1
+        groups.setdefault(h, {}).setdefault(r[:h], []).append((idx, r))
+    return sorted(groups.items())
 
 
-def _match_len(w: Word, pos: int, r: Word) -> int:
-    n = min(len(w) - pos, len(r))
-    i = 0
-    while i < n and w[pos + i] == r[i]:
-        i += 1
-    return i
+def _scan(w: Word, start: int, index: list) -> Optional[DehnStep]:
+    """The leftmost majority match at or after start, longest then lowest index."""
+    n = len(w)
+    for pos in range(start, n):
+        best = 0
+        best_idx = -1
+        for h, table in index:
+            if pos + h > n:
+                break
+            hits = table.get(w[pos : pos + h])
+            if hits is None:
+                continue
+            for idx, r in hits:
+                m = h
+                end = min(n - pos, len(r))
+                while m < end and w[pos + m] == r[m]:
+                    m += 1
+                if m > best or (m == best and idx < best_idx):
+                    best, best_idx = m, idx
+        if best_idx >= 0:
+            return DehnStep(best_idx, pos, best)
+    return None
 
 
-def _apply(w: Word, s: SymmetrizedRelators, step: DehnStep) -> Word:
-    r = s.words[step.relator]
-    b = r[step.replaced:]
-    return free_reduce(w[: step.pos] + invert(b) + w[step.pos + step.replaced:])
+def _cancels(x, y) -> bool:
+    return x.index == y.index and x.sign == -y.sign
 
 
-def dehn_step(
-    w: Word, s: SymmetrizedRelators, _buckets: Optional[dict] = None
-) -> Optional[Tuple[Word, DehnStep]]:
+def _replace(w: Word, s: SymmetrizedRelators, step: DehnStep) -> Tuple[Word, int]:
+    """w with the step applied and freely reduced, and the length of the
+    prefix of w it keeps unchanged.  w must be freely reduced, so only
+    the seams around the inserted b^-1 can cancel."""
+    mid = invert(s.words[step.relator][step.replaced :])
+    left = step.pos
+    right = step.pos + step.replaced
+    j = 0
+    while left and j < len(mid) and _cancels(w[left - 1], mid[j]):
+        left -= 1
+        j += 1
+    t = len(mid)
+    while t > j and right < len(w) and _cancels(mid[t - 1], w[right]):
+        t -= 1
+        right += 1
+    if t == j:
+        while left and right < len(w) and _cancels(w[left - 1], w[right]):
+            left -= 1
+            right += 1
+    return w[:left] + mid[j:t] + w[right:], left
+
+
+def dehn_step(w: Word, s: SymmetrizedRelators) -> Optional[Tuple[Word, DehnStep]]:
     """One majority-subword replacement, or None if none applies.
 
     w must be freely reduced; the result is freely reduced and strictly
     shorter.
     """
-    buckets = _buckets if _buckets is not None else _first_letter_buckets(s)
-    for pos in range(len(w)):
-        candidates = buckets.get(w[pos])
-        if not candidates:
-            continue
-        best_len = 0
-        best_idx = -1
-        for idx in candidates:
-            r = s.words[idx]
-            m = _match_len(w, pos, r)
-            if 2 * m > len(r) and m > best_len:
-                best_len, best_idx = m, idx
-        if best_idx >= 0:
-            step = DehnStep(best_idx, pos, best_len)
-            return _apply(w, s, step), step
-    return None
+    step = _scan(w, 0, _majority_index(s))
+    if step is None:
+        return None
+    return _replace(w, s, step)[0], step
 
 
 def dehn_solve(w: Word, p: GroupPresentation) -> DehnOutcome:
@@ -103,13 +138,17 @@ def dehn_solve(w: Word, p: GroupPresentation) -> DehnOutcome:
     current = free_reduce(w)
     trace = []
     if s.words:
-        buckets = _first_letter_buckets(s)
+        index = _majority_index(s)
+        # positions left of cut - h_max + 1 see only unchanged letters
+        reach = index[-1][0] - 1
+        start = 0
         while current:
-            found = dehn_step(current, s, buckets)
-            if found is None:
+            step = _scan(current, start, index)
+            if step is None:
                 break
-            current, step = found
+            current, cut = _replace(current, s, step)
             trace.append(step)
+            start = max(0, cut - reach)
     if not current:
         verdict = Verdict.TRIVIAL
     elif not s.words or max_piece_ratio(s) < Fraction(1, 6):
@@ -122,8 +161,9 @@ def dehn_solve(w: Word, p: GroupPresentation) -> DehnOutcome:
 def replay_dehn_trace(w: Word, s: SymmetrizedRelators, trace) -> Word:
     """Re-apply recorded steps from scratch, checking each precondition.
 
-    Starts from free_reduce(w), exactly as the solver does.  Raises
-    ValueError if any step does not match the word it is applied to.
+    Starts from free_reduce(w), exactly as the solver does, and freely
+    reduces the whole word after each step.  Raises ValueError if any
+    step does not match the word it is applied to.
     """
     current = free_reduce(w)
     for step in trace:
@@ -134,5 +174,8 @@ def replay_dehn_trace(w: Word, s: SymmetrizedRelators, trace) -> Word:
             raise ValueError(f"step {step}: not a majority prefix of relator")
         if current[step.pos : step.pos + step.replaced] != r[: step.replaced]:
             raise ValueError(f"step {step}: word does not contain the prefix")
-        current = _apply(current, s, step)
+        b = r[step.replaced :]
+        current = free_reduce(
+            current[: step.pos] + invert(b) + current[step.pos + step.replaced :]
+        )
     return current

@@ -71,9 +71,16 @@ class SymmetrizedRelators:
     words: Tuple[Word, ...]
 
     def __post_init__(self):
+        # a word is cyclically reduced when no cyclically adjacent pair of
+        # its letters cancels; test all words' pairs at once, and name the
+        # first bad word only if some pair cancels
+        pairs = set()
         for w in self.words:
-            if not is_cyclically_reduced(w):
-                raise ValueError(f"{format_word(w)} is not cyclically reduced")
+            pairs.update(zip(w, w[1:] + w[:1]))
+        if any(x.index == y.index and x.sign == -y.sign for x, y in pairs):
+            for w in self.words:
+                if not is_cyclically_reduced(w):
+                    raise ValueError(f"{format_word(w)} is not cyclically reduced")
 
 
 @dataclass(frozen=True)
@@ -112,13 +119,12 @@ def symmetrize(p: GroupPresentation) -> SymmetrizedRelators:
     Order is deterministic: relators in presentation order, shifts of the
     relator before shifts of its inverse, first occurrence kept.
     """
-    seen = {}
-    for r in p.relators:
-        for variant in (r, invert(r)):
-            for shift in cyclic_shifts(variant):
-                if shift not in seen:
-                    seen[shift] = None
-    return SymmetrizedRelators(tuple(seen.keys()))
+    return SymmetrizedRelators(tuple(dict.fromkeys(
+        shift
+        for r in p.relators
+        for variant in (r, invert(r))
+        for shift in cyclic_shifts(variant)
+    )))
 
 
 def _common_prefix_len(u: Word, v: Word) -> int:
@@ -135,19 +141,24 @@ def max_piece_ratio(s: SymmetrizedRelators) -> Fraction:
     A piece is a common prefix of two distinct elements.  A presentation
     satisfies the metric small-cancellation condition C'(lambda) exactly
     when this ratio is < lambda.
+
+    For a pair u, v with common prefix length k <= min(|u|, |v|),
+    k / min(|u|, |v|) is the larger of k/|u| and k/|v|; so the maximum
+    over pairs is the maximum over words u of (longest common prefix of
+    u with any other word) / |u|, and in sorted order that longest
+    prefix is shared with a neighbour.  O(N log N) comparisons.
     """
     if not s.words:
         raise ValueError("empty symmetrized relator set")
-    best = Fraction(0)
-    ws = s.words
-    for i in range(len(ws)):
-        for j in range(i + 1, len(ws)):
-            piece = _common_prefix_len(ws[i], ws[j])
-            if piece:
-                ratio = Fraction(piece, min(len(ws[i]), len(ws[j])))
-                if ratio > best:
-                    best = ratio
-    return best
+    num, den = 0, 1
+    ws = sorted(s.words)
+    for u, v in zip(ws, ws[1:]):
+        piece = _common_prefix_len(u, v)
+        if piece:
+            for host in (len(u), len(v)):
+                if piece * den > num * host:
+                    num, den = piece, host
+    return Fraction(num, den)
 
 
 def _w(text: str) -> Word:
@@ -212,6 +223,13 @@ def ceijtin_presentation() -> SemigroupPresentation:
     return SemigroupPresentation(5, equations)
 
 
+_PARAMETRIZED_CATALOG = {
+    # name -> (parameter, default, builder)
+    "surface": ("genus", 2, surface_presentation),
+    "free_abelian": ("rank", 2, free_abelian_presentation),
+    "higman_truncated": ("exponents", (1,), higman_truncated_presentation),
+}
+
 _FIXED_CATALOG = {
     # dihedral group of order 10: sigma^5, tau^2, and tau*sigma*tau*sigma
     # (the relator form of tau*sigma = sigma^-1*tau)
@@ -230,14 +248,17 @@ def catalog(name: str, **params) -> Presentation:
     """Named presentations.
 
     surface(genus=g), free_abelian(rank=n) and higman_truncated(exponents=E)
-    take parameters; the rest take none.
+    take parameters; the rest take none.  A parameter the entry does not
+    take is an error.
     """
-    if name == "surface":
-        return surface_presentation(params.pop("genus", 2))
-    if name == "free_abelian":
-        return free_abelian_presentation(params.pop("rank", 2))
-    if name == "higman_truncated":
-        return higman_truncated_presentation(params.pop("exponents", (1,)))
+    if name in _PARAMETRIZED_CATALOG:
+        key, default, build = _PARAMETRIZED_CATALOG[name]
+        value = params.pop(key, default)
+        if params:
+            raise ValueError(
+                f"catalog entry {name!r} takes only {key}, not {', '.join(sorted(params))}"
+            )
+        return build(value)
     if name in _FIXED_CATALOG:
         if params:
             raise ValueError(f"catalog entry {name!r} takes no parameters")

@@ -317,14 +317,13 @@ def parse_machine(text: str) -> TuringMachine:
             if len(parts) != 6 or parts[2] != "->":
                 raise ValueError(f"line {lineno}: expected 'trans: qI x -> qJ y L|R'")
             q = _parse_state(parts[0], n_states)
-            s = ord(parts[1]) - ord("a")
             q2 = _parse_state(parts[3], n_states)
+            for sym in (parts[1], parts[4]):
+                if not (len(sym) == 1 and 0 <= ord(sym) - ord("a") < n_symbols):
+                    raise ValueError(f"line {lineno}: unknown symbol {sym!r}")
+            s = ord(parts[1]) - ord("a")
             w = ord(parts[4]) - ord("a")
             move = parts[5]
-            if not (len(parts[1]) == 1 and 0 <= s < n_symbols):
-                raise ValueError(f"line {lineno}: unknown symbol {parts[1]!r}")
-            if not (len(parts[4]) == 1 and 0 <= w < n_symbols):
-                raise ValueError(f"line {lineno}: unknown symbol {parts[4]!r}")
             if move not in ("L", "R"):
                 raise ValueError(f"line {lineno}: move must be L or R")
             if (q, s) in transitions:

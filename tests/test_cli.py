@@ -167,6 +167,37 @@ class TestErrors:
         result = run("catalog", "nonsense")
         assert result.returncode == 1
 
+    @staticmethod
+    def assert_one_error_line(result):
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("wordproblem: error: "), result.stderr
+
+    def test_zero_denominator_bound(self):
+        result = run("small-cancel", "--preset", "surface", "--genus", "2", "--bound", "1/0")
+        self.assert_one_error_line(result)
+
+    def test_two_letter_machine_symbol(self, tmp_path):
+        path = tmp_path / "machine.txt"
+        path.write_text("states: 1\nsymbols: a b\ntrans: q0 ab -> q0 b R\n")
+        self.assert_one_error_line(run("tm-run", "--machine", str(path)))
+
+    def test_deeply_nested_term(self, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text("rule: ((?x ?y) ?z) => (?x (?y ?z))\n")
+        deep = "(A " * 3000 + "B" + ")" * 3000
+        result = run("tree-equiv", "--rules", str(path), "--from", deep, "--to", "(A B)")
+        self.assert_one_error_line(result)
+
+    def test_catalog_parameter_the_entry_does_not_take(self):
+        self.assert_one_error_line(run("catalog", "surface", "--rank", "3"))
+        self.assert_one_error_line(run("catalog", "torus", "--genus", "3"))
+
+    def test_preset_parameter_the_entry_does_not_take(self):
+        result = run("dehn-solve", "--preset", "free_abelian", "--genus", "3", "ab")
+        self.assert_one_error_line(result)
+
 
 class TestGoldenDeterminism:
     INVOCATIONS = [

@@ -1,13 +1,28 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from wordproblem.dehn import DehnStep, Verdict, dehn_solve, dehn_step, replay_dehn_trace
-from wordproblem.presentations import GroupPresentation, catalog, symmetrize
+from wordproblem.dehn import (
+    DehnOutcome,
+    DehnStep,
+    Verdict,
+    dehn_solve,
+    dehn_step,
+    replay_dehn_trace,
+)
+from wordproblem.presentations import (
+    GroupPresentation,
+    SymmetrizedRelators,
+    catalog,
+    max_piece_ratio,
+    symmetrize,
+)
 from wordproblem.words import (
     EPSILON,
     concat,
     exponent_vector,
+    format_word,
     free_reduce,
     invert,
     make_word,
@@ -33,6 +48,42 @@ def has_majority_subword(word, sym):
                 if len(sub) <= len(r) and r[: len(sub)] == sub and 2 * len(sub) > len(r):
                     return True
     return False
+
+
+def oracle_dehn_solve(word, p):
+    """The solver as first written: after every replacement it freely
+    reduces the whole word and rescans from position 0, trying every
+    relator that starts with the letter at each position."""
+    s = symmetrize(p)
+    current = free_reduce(word)
+    trace = []
+    while current and s.words:
+        found = None
+        for pos in range(len(current)):
+            best_len, best_idx = 0, -1
+            for idx, r in enumerate(s.words):
+                m = 0
+                while m < min(len(current) - pos, len(r)) and current[pos + m] == r[m]:
+                    m += 1
+                if 2 * m > len(r) and m > best_len:
+                    best_len, best_idx = m, idx
+            if best_idx >= 0:
+                found = DehnStep(best_idx, pos, best_len)
+                break
+        if found is None:
+            break
+        b = s.words[found.relator][found.replaced :]
+        current = free_reduce(
+            current[: found.pos] + invert(b) + current[found.pos + found.replaced :]
+        )
+        trace.append(found)
+    if not current:
+        verdict = Verdict.TRIVIAL
+    elif not s.words or max_piece_ratio(s) < Fraction(1, 6):
+        verdict = Verdict.NONTRIVIAL_CERTIFIED
+    else:
+        verdict = Verdict.INCONCLUSIVE
+    return DehnOutcome(verdict, tuple(trace), current)
 
 
 def random_reduced_word(rng, n_gens, max_len):
@@ -154,3 +205,103 @@ class TestTraceReplay:
         bad = DehnStep(outcome.trace[0].relator, 3, 8)
         with pytest.raises(ValueError):
             replay_dehn_trace(relator, SYM2, (bad,))
+
+
+def relator_laden_word(rng, p, chunks):
+    """Relator material with noise: conjugated relators and their
+    inverses, majority prefixes of relators and random letters, not
+    freely reduced."""
+    out = []
+    for _ in range(chunks):
+        kind = rng.random()
+        if p.relators and kind < 0.5:
+            r = rng.choice(p.relators)
+            k = rng.randrange(len(r))
+            r = r[k:] + r[:k]
+            if rng.random() < 0.5:
+                r = invert(r)
+            u = tuple(random_reduced_word(rng, p.n_gens, 2))
+            out += u + r + invert(u)
+        elif p.relators and kind < 0.75:
+            r = rng.choice(p.relators)
+            out += r[: rng.randint(len(r) // 2, len(r))]
+        else:
+            out += make_word([(rng.randrange(p.n_gens), rng.choice((1, -1)))])
+    return tuple(out)
+
+
+def random_presentation(rng):
+    """1-3 random relators; often the first extends the second, so that
+    relators of different lengths share a majority prefix."""
+    n_gens = rng.randint(1, 3)
+    relators = [
+        random_reduced_word(rng, n_gens, 9) for _ in range(rng.randint(1, 3))
+    ]
+    if len(relators) > 1 and rng.random() < 0.5:
+        relators[0] = relators[1] + random_reduced_word(rng, n_gens, 3)
+    return GroupPresentation(n_gens, tuple(relators))
+
+
+DIFFERENTIAL_PRESENTATIONS = [
+    ("surface1", catalog("surface", genus=1)),
+    ("surface2", SURFACE2),
+    ("surface3", catalog("surface", genus=3)),
+    ("torus", catalog("torus")),
+    ("dihedral5", catalog("dihedral5")),
+    ("trefoil", catalog("trefoil")),
+    ("free_abelian3", catalog("free_abelian", rank=3)),
+    # relators of lengths 2, 6, 10, 14: four prefix-length groups
+    ("higman0123", catalog("higman_truncated", exponents=(0, 1, 2, 3))),
+]
+
+
+class TestAgainstOracle:
+    """The indexed, resumed scan against the full-rescan solver."""
+
+    @pytest.mark.parametrize(
+        "name,p", DIFFERENTIAL_PRESENTATIONS, ids=[n for n, _ in DIFFERENTIAL_PRESENTATIONS]
+    )
+    def test_catalog_presentations(self, name, p):
+        rng = random.Random(f"dehn-oracle-{name}")
+        for _ in range(60):
+            word = relator_laden_word(rng, p, rng.randint(0, 8))
+            assert dehn_solve(word, p) == oracle_dehn_solve(word, p), format_word(word)
+
+    def test_random_presentations(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            p = random_presentation(rng)
+            for _ in range(4):
+                word = relator_laden_word(rng, p, rng.randint(0, 8))
+                assert dehn_solve(word, p) == oracle_dehn_solve(word, p)
+
+    def test_tie_across_prefix_lengths(self):
+        # abcdef (index 0, majority prefix 4) and abcd (prefix 3) both
+        # match abcd for 4 letters; the lower index wins
+        sym = SymmetrizedRelators((w("abcdef"), w("abcd")))
+        assert dehn_step(w("abcd"), sym) == (w("FE"), DehnStep(0, 0, 4))
+        p = GroupPresentation(6, (w("abcdef"), w("abcd")))
+        word = w("babcd")
+        assert dehn_solve(word, p) == oracle_dehn_solve(word, p)
+        assert dehn_solve(word, p).trace[0] == DehnStep(0, 1, 4)
+
+    def test_random_unreduced_words(self):
+        rng = random.Random(32)
+        p = catalog("dihedral5")
+        for _ in range(200):
+            word = make_word(
+                [(rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randint(0, 30))]
+            )
+            assert dehn_solve(word, p) == oracle_dehn_solve(word, p)
+
+    def test_single_step_matches_first_oracle_step(self):
+        rng = random.Random(33)
+        for name, p in DIFFERENTIAL_PRESENTATIONS:
+            sym = symmetrize(p)
+            for _ in range(30):
+                word = free_reduce(relator_laden_word(rng, p, rng.randint(1, 4)))
+                expected = oracle_dehn_solve(word, p).trace[:1]
+                found = dehn_step(word, sym)
+                assert ((found[1],) if found else ()) == expected, name
+                if found:
+                    assert found[0] == replay_dehn_trace(word, sym, expected)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,13 +6,21 @@ import pytest
 from wordproblem.presentations import (
     GroupPresentation,
     SemigroupPresentation,
+    SymmetrizedRelators,
     catalog,
     format_presentation,
     max_piece_ratio,
     parse_presentation,
     symmetrize,
 )
-from wordproblem.words import format_word, invert, is_cyclically_reduced, parse_word
+from wordproblem.words import (
+    format_word,
+    free_reduce,
+    invert,
+    is_cyclically_reduced,
+    make_word,
+    parse_word,
+)
 
 
 def w(text):
@@ -87,10 +96,64 @@ class TestMaxPieceRatio:
         assert ratio == oracle_max_piece_ratio(sym.words) == Fraction(0)
 
     def test_empty_set_rejected(self):
-        from wordproblem.presentations import SymmetrizedRelators
-
         with pytest.raises(ValueError):
             max_piece_ratio(SymmetrizedRelators(()))
+
+    def test_random_mixed_length_presentations_against_oracle(self):
+        rng = random.Random(41)
+        checked = 0
+        while checked < 300:
+            n_gens = rng.randint(1, 3)
+            relators = tuple(
+                free_reduce(
+                    make_word(
+                        [(rng.randrange(n_gens), rng.choice((1, -1)))
+                         for _ in range(rng.randint(1, 12))]
+                    )
+                )
+                for _ in range(rng.randint(1, 4))
+            )
+            sym = symmetrize(GroupPresentation(n_gens, relators))
+            if sym.words:
+                assert max_piece_ratio(sym) == oracle_max_piece_ratio(sym.words)
+                checked += 1
+
+    def test_higman_mixed_lengths_against_oracle(self):
+        sym = symmetrize(catalog("higman_truncated", exponents=(0, 1, 2, 3)))
+        assert max_piece_ratio(sym) == oracle_max_piece_ratio(sym.words)
+
+    def test_duplicate_word_is_a_whole_piece(self):
+        sym = SymmetrizedRelators((w("abc"), w("ab"), w("abc")))
+        assert max_piece_ratio(sym) == oracle_max_piece_ratio(sym.words) == Fraction(1)
+
+    def test_prefix_of_another_word(self):
+        sym = SymmetrizedRelators((w("abcd"), w("ab")))
+        assert max_piece_ratio(sym) == oracle_max_piece_ratio(sym.words) == Fraction(1)
+
+    def test_shorter_word_sorting_last_sets_the_ratio(self):
+        # abAc sorts before abC (A < C); their piece ab is 2/3 of abC
+        sym = SymmetrizedRelators((w("abC"), w("abAc")))
+        assert max_piece_ratio(sym) == oracle_max_piece_ratio(sym.words) == Fraction(2, 3)
+
+
+class TestSymmetrizedRelators:
+    def test_rejects_first_word_not_cyclically_reduced(self):
+        with pytest.raises(ValueError, match="^abA is not cyclically reduced$"):
+            SymmetrizedRelators((w("ab"), w("abA"), w("aBbc")))
+        with pytest.raises(ValueError, match="^aBbc is not cyclically reduced$"):
+            SymmetrizedRelators((w("ab"), w("aBbc"), w("abA")))
+
+    def test_rejects_cancellation_across_the_ends_only(self):
+        with pytest.raises(ValueError, match="^abA is not cyclically reduced$"):
+            SymmetrizedRelators((w("ab"), w("abA")))
+
+    def test_rejects_a_two_letter_cancellation(self):
+        with pytest.raises(ValueError, match="^aA is not cyclically reduced$"):
+            SymmetrizedRelators((w("aA"),))
+
+    def test_accepts_cyclically_reduced_words(self):
+        words = (w("a"), w("aa"), w("abAB"), w("ba"))
+        assert SymmetrizedRelators(words).words == words
 
 
 class TestCatalog:
@@ -142,6 +205,14 @@ class TestCatalog:
             catalog("surface", genus=0)
         with pytest.raises(ValueError):
             catalog("dihedral5", genus=3)
+
+    def test_parameter_the_entry_does_not_take(self):
+        with pytest.raises(ValueError, match="takes only genus, not rank"):
+            catalog("surface", rank=3)
+        with pytest.raises(ValueError, match="takes only rank, not exponents, genus"):
+            catalog("free_abelian", genus=2, exponents=(1,))
+        with pytest.raises(ValueError, match="takes only exponents"):
+            catalog("higman_truncated", exponents=(1,), rank=2)
 
 
 class TestNormalization:

@@ -165,3 +165,9 @@ class TestTextFormat:
         assert format_tape(()) == "1"
         with pytest.raises(ValueError):
             parse_tape("z", machine)
+
+
+def test_two_letter_symbol_rejected():
+    for line in ("trans: q0 ab -> q0 b R", "trans: q0 a -> q0 ba R"):
+        with pytest.raises(ValueError, match="unknown symbol"):
+            parse_machine(f"states: 1\nsymbols: a b\n{line}\n")
