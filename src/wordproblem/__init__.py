@@ -59,5 +59,3 @@ from .cayley import (
     word_problem_finite,
 )
 from .reductions import TuringMachine, encode, tm_run, verify_simulation
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .presentations import GroupPresentation
-from .words import GenLetter, Word, free_reduce
+from .words import LETTERS, GenLetter, Word, free_reduce
 
 
 class TableStatus(enum.Enum):
@@ -301,5 +301,5 @@ def to_tgf(g: CayleyGraph) -> str:
     lines.append("#")
     for u in range(g.n_vertices):
         for i in range(g.n_gens):
-            lines.append(f"{u} {g.neighbors[u][2 * i]} {chr(ord('a') + i)}")
+            lines.append(f"{u} {g.neighbors[u][2 * i]} {LETTERS[i]}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import cayley, dehn, presentations, reductions, rewriting, sequences, terms
 from .search import SearchStatus
-from .words import format_word, free_reduce, parse_word
+from .words import LETTERS, cyclic_reduce, format_word, free_reduce, parse_word
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -34,22 +34,29 @@ def _emit(args, human: str, machine: str):
     print(machine if args.format == "lines" else human)
 
 
+def _show(args, key: str, value):
+    """One 'key: value' line, or 'key value' in the lines format."""
+    _emit(args, f"{key}: {value}", f"{key} {value}")
+
+
+def _word_arg(text: str) -> str:
+    """A string-rewriting word from the command line; '1' is the empty word."""
+    return "" if text == "1" else text
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="ascii") as fh:
         return fh.read()
 
 
 def _group_presentation(args) -> presentations.GroupPresentation:
-    p = _presentation(args)
+    if args.presentation:
+        p = presentations.parse_presentation(_read(args.presentation))
+    else:
+        p = _catalog_entry(args.preset, args)
     if not isinstance(p, presentations.GroupPresentation):
         raise ValueError("this command needs a group presentation")
     return p
-
-
-def _presentation(args):
-    if getattr(args, "presentation", None):
-        return presentations.parse_presentation(_read(args.presentation))
-    return _catalog_entry(args.preset, args)
 
 
 def _catalog_entry(name: str, args):
@@ -63,13 +70,21 @@ def _catalog_entry(name: str, args):
     return presentations.catalog(name, **params)
 
 
-def _add_presentation_args(sub, required=True):
-    group = sub.add_mutually_exclusive_group(required=required)
-    group.add_argument("--preset", choices=presentations.CATALOG_NAMES)
-    group.add_argument("--presentation", metavar="FILE")
+def _add_source(sub, names, file_flag: str):
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("--preset", choices=names)
+    group.add_argument(file_flag, metavar="FILE")
+
+
+def _add_catalog_params(sub):
     sub.add_argument("--genus", type=int, help="parameter for the surface preset")
     sub.add_argument("--rank", type=int, help="parameter for the free_abelian preset")
     sub.add_argument("--exponents", help="comma list for the higman_truncated preset")
+
+
+def _add_presentation_args(sub):
+    _add_source(sub, presentations.CATALOG_NAMES, "--presentation")
+    _add_catalog_params(sub)
 
 
 def _machine(args) -> reductions.TuringMachine:
@@ -80,18 +95,11 @@ def _machine(args) -> reductions.TuringMachine:
 
 def cmd_reduce(args) -> int:
     w = parse_word(args.word)
-    reduced = free_reduce(w)
-    _emit(args, f"reduced: {format_word(reduced)}", f"reduced {format_word(reduced)}")
+    _show(args, "reduced", format_word(free_reduce(w)))
     if args.cyclic:
-        from .words import cyclic_reduce
-
         core, conj = cyclic_reduce(w)
-        _emit(args, f"core: {format_word(core)}", f"core {format_word(core)}")
-        _emit(
-            args,
-            f"conjugator: {format_word(conj)}",
-            f"conjugator {format_word(conj)}",
-        )
+        _show(args, "core", format_word(core))
+        _show(args, "conjugator", format_word(conj))
     return EXIT_OK
 
 
@@ -99,15 +107,14 @@ def cmd_dehn_solve(args) -> int:
     p = _group_presentation(args)
     w = parse_word(args.word, p.n_gens)
     outcome = dehn.dehn_solve(w, p)
-    _emit(args, f"verdict: {outcome.verdict.value}", f"verdict {outcome.verdict.value}")
+    _show(args, "verdict", outcome.verdict.value)
     for step in outcome.trace:
         _emit(
             args,
             f"step: relator {step.relator} at {step.pos} replacing {step.replaced}",
             f"step {step.relator} {step.pos} {step.replaced}",
         )
-    final = format_word(outcome.final_word)
-    _emit(args, f"final: {final}", f"final {final}")
+    _show(args, "final", format_word(outcome.final_word))
     return EXIT_UNDECIDED if outcome.verdict is dehn.Verdict.INCONCLUSIVE else EXIT_OK
 
 
@@ -126,34 +133,27 @@ def cmd_small_cancel(args) -> int:
     return EXIT_OK
 
 
-def _print_string_trace(args, sys_, trace: rewriting.DerivationTrace):
+def _print_string_trace(sys_, trace: rewriting.DerivationTrace):
     w = trace.start
     for idx, pos in trace.steps:
         w = rewriting.apply_rule(w, sys_, idx, pos)
-        print(f"step {idx} @{pos} => {w if w else '1'}")
+        print(f"step {idx} @{pos} => {w or '1'}")
 
 
-def cmd_rewrite(args) -> int:
-    sys_ = rewriting.parse_system(_read(args.sys))
-    word = "" if args.word == "1" else args.word
-    trace = rewriting.rewrite_bounded(word, sys_, args.max_steps)
-    _print_string_trace(args, sys_, trace)
-    _emit(
-        args,
-        f"final: {trace.end if trace.end else '1'}",
-        f"final {trace.end if trace.end else '1'}",
-    )
-    return EXIT_OK
+def _print_tree_trace(rules, trace: terms.TreeDerivationTrace):
+    t = trace.start
+    for step in trace.steps:
+        t = terms.apply_tree_rule(t, rules[step.rule], step.path, step.direction)
+        where = step.path or "-"
+        print(f"step {step.rule} {step.direction} @{where} => {terms.format_term(t)}")
 
 
-def cmd_equiv(args) -> int:
-    sys_ = rewriting.parse_system(_read(args.sys))
-    w1 = "" if getattr(args, "from") == "1" else getattr(args, "from")
-    w2 = "" if args.to == "1" else args.to
-    outcome = rewriting.search_equivalence(w1, w2, sys_, args.budget)
-    _emit(args, f"status: {outcome.status.value}", f"status {outcome.status.value}")
+def _search_result(args, outcome, print_trace) -> int:
+    """Status line, the trace of a proven answer, the stats line, and the
+    exit code of an equivalence search."""
+    _show(args, "status", outcome.status.value)
     if outcome.trace is not None:
-        _print_string_trace(args, sys_, outcome.trace)
+        print_trace(outcome.trace)
     s = outcome.stats
     _emit(
         args,
@@ -161,6 +161,21 @@ def cmd_equiv(args) -> int:
         f"stats {s.expanded} {s.frontier_peak} {s.depth}",
     )
     return EXIT_UNDECIDED if outcome.status is SearchStatus.BUDGET_EXHAUSTED else EXIT_OK
+
+
+def cmd_rewrite(args) -> int:
+    sys_ = rewriting.parse_system(_read(args.sys))
+    trace = rewriting.rewrite_bounded(_word_arg(args.word), sys_, args.max_steps)
+    _print_string_trace(sys_, trace)
+    _show(args, "final", trace.end or "1")
+    return EXIT_OK
+
+
+def cmd_equiv(args) -> int:
+    sys_ = rewriting.parse_system(_read(args.sys))
+    w1 = _word_arg(getattr(args, "from"))
+    outcome = rewriting.search_equivalence(w1, _word_arg(args.to), sys_, args.budget)
+    return _search_result(args, outcome, lambda trace: _print_string_trace(sys_, trace))
 
 
 def cmd_tree_equiv(args) -> int:
@@ -168,20 +183,7 @@ def cmd_tree_equiv(args) -> int:
     a = terms.parse_term(getattr(args, "from"))
     b = terms.parse_term(args.to)
     outcome = terms.search_tree_equivalence(a, b, rules, args.budget)
-    _emit(args, f"status: {outcome.status.value}", f"status {outcome.status.value}")
-    if outcome.trace is not None:
-        t = outcome.trace.start
-        for step in outcome.trace.steps:
-            t = terms.apply_tree_rule(t, rules[step.rule], step.path, step.direction)
-            where = step.path if step.path else "-"
-            print(f"step {step.rule} {step.direction} @{where} => {terms.format_term(t)}")
-    s = outcome.stats
-    _emit(
-        args,
-        f"stats: expanded={s.expanded} frontier-peak={s.frontier_peak} depth={s.depth}",
-        f"stats {s.expanded} {s.frontier_peak} {s.depth}",
-    )
-    return EXIT_UNDECIDED if outcome.status is SearchStatus.BUDGET_EXHAUSTED else EXIT_OK
+    return _search_result(args, outcome, lambda trace: _print_tree_trace(rules, trace))
 
 
 def cmd_seq(args) -> int:
@@ -189,7 +191,7 @@ def cmd_seq(args) -> int:
         word = sequences.thue_morse_prefix(args.n)
     else:
         word = sequences.square_free_ternary_prefix(args.n)
-    _emit(args, f"word: {word}", f"word {word}")
+    _show(args, "word", word)
     if args.check is not None:
         ok, witness = sequences.is_power_free(word, args.check)
         if ok:
@@ -211,18 +213,17 @@ def cmd_seq(args) -> int:
 def cmd_cayley(args) -> int:
     p = _group_presentation(args)
     table = cayley.todd_coxeter(p, args.max_cosets)
-    _emit(args, f"status: {table.status.value}", f"status {table.status.value}")
-    _emit(args, f"cosets: {table.n_cosets}", f"cosets {table.n_cosets}")
+    _show(args, "status", table.status.value)
+    _show(args, "cosets", table.n_cosets)
     if table.status is not cayley.TableStatus.COMPLETE:
         return EXIT_UNDECIDED
     graph = cayley.to_cayley_graph(table)
     if args.word is not None:
         w = parse_word(args.word, p.n_gens)
         answer = "trivial" if cayley.word_problem_finite(w, graph) else "nontrivial"
-        _emit(args, f"word {args.word}: {answer}", f"word {args.word} {answer}")
+        _show(args, f"word {args.word}", answer)
     if args.delta:
-        d = cayley.estimate_delta(graph)
-        _emit(args, f"delta: {d}", f"delta {d}")
+        _show(args, "delta", cayley.estimate_delta(graph))
     if args.tgf:
         print(cayley.to_tgf(graph), end="")
     return EXIT_OK
@@ -232,16 +233,10 @@ def cmd_tm_run(args) -> int:
     m = _machine(args)
     tape = reductions.parse_tape(args.input, m)
     result = reductions.tm_run(m, tape, args.max_steps)
-    status = "halted" if result.halted else "running"
-    _emit(args, f"status: {status}", f"status {status}")
-    _emit(args, f"steps: {result.steps}", f"steps {result.steps}")
-    visible = result.config.tape()
-    while visible and visible[0] == reductions.BLANK:
-        visible = visible[1:]
-    while visible and visible[-1] == reductions.BLANK:
-        visible = visible[:-1]
-    tape_text = reductions.format_tape(visible)
-    _emit(args, f"tape: {tape_text}", f"tape {tape_text}")
+    _show(args, "status", "halted" if result.halted else "running")
+    _show(args, "steps", result.steps)
+    visible = reductions.format_tape(result.config.tape()).strip(LETTERS[reductions.BLANK])
+    _show(args, "tape", visible or "1")
     return EXIT_OK if result.halted else EXIT_UNDECIDED
 
 
@@ -319,23 +314,17 @@ def build_parser() -> _Parser:
     sub.add_argument("--tgf", action="store_true", help="print the graph in TGF")
 
     sub = add("tm-run", cmd_tm_run, help="simulate a Turing machine")
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=reductions.TM_CATALOG_NAMES)
-    group.add_argument("--machine", metavar="FILE")
+    _add_source(sub, reductions.TM_CATALOG_NAMES, "--machine")
     sub.add_argument("--input", default="1")
     sub.add_argument("--max-steps", type=int, default=1000)
 
     sub = add("tm-encode", cmd_tm_encode, help="emit the rewriting system of a machine")
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=reductions.TM_CATALOG_NAMES)
-    group.add_argument("--machine", metavar="FILE")
+    _add_source(sub, reductions.TM_CATALOG_NAMES, "--machine")
     sub.add_argument("--input", help="also print the start word for this tape")
 
     sub = add("catalog", cmd_catalog, help="print a named presentation")
     sub.add_argument("name")
-    sub.add_argument("--genus", type=int)
-    sub.add_argument("--rank", type=int)
-    sub.add_argument("--exponents")
+    _add_catalog_params(sub)
     sub.add_argument(
         "--rewrite", action="store_true", help="emit a semigroup as a rewrite system"
     )

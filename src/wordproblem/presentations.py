@@ -9,9 +9,9 @@ Pieces are measured as common prefixes of two distinct elements of the
 symmetrized set; because that set is closed under cyclic shift, this is
 equivalent to the common-subword formulation and easy to brute-force.
 
-Text format (one declaration per line, '#' starts a comment):
+Text format, read by :func:`wordproblem.words.declarations`:
 
-    gens: a b c          generators, consecutive letters from 'a'
+    gens: a b c          the generators
     rel: abAB            one relator per line (group presentations)
     eq: ac = ca          one equation per line (semigroup presentations)
 
@@ -25,9 +25,13 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 from .words import (
+    LETTERS,
     Word,
+    alphabet_size,
+    check_letters,
     cyclic_reduce,
     cyclic_shifts,
+    declarations,
     format_word,
     invert,
     is_cyclically_reduced,
@@ -97,14 +101,8 @@ class SemigroupPresentation:
     def __post_init__(self):
         if self.alphabet_size < 1:
             raise ValueError("alphabet must be nonempty")
-        limit = chr(ord("a") + self.alphabet_size - 1)
         for lhs, rhs in self.equations:
-            for side in (lhs, rhs):
-                for c in side:
-                    if not ("a" <= c <= limit):
-                        raise ValueError(
-                            f"letter {c!r} outside alphabet of size {self.alphabet_size}"
-                        )
+            check_letters(lhs + rhs, self.alphabet_size)
 
     def trivial_equations(self) -> list[int]:
         return [i for i, (g, h) in enumerate(self.equations) if g == h]
@@ -267,7 +265,7 @@ def catalog(name: str, **params) -> Presentation:
 
 
 def _gens_line(n: int) -> str:
-    return "gens: " + " ".join(chr(ord("a") + i) for i in range(n))
+    return "gens: " + " ".join(LETTERS[:n])
 
 
 def format_presentation(p: Presentation) -> str:
@@ -288,42 +286,20 @@ def parse_presentation(text: str) -> Presentation:
     n_gens = None
     relators = []
     equations = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ValueError(f"line {lineno}: expected 'key: value', got {line!r}")
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
+    for lineno, key, value in declarations(text):
         if key == "gens":
-            names = value.split()
-            expected = [chr(ord("a") + i) for i in range(len(names))]
-            if not names or names != expected:
-                raise ValueError(
-                    f"line {lineno}: generators must be consecutive letters "
-                    f"from 'a', got {names}"
-                )
-            n_gens = len(names)
+            n_gens = alphabet_size(value, lineno)
+        elif key not in ("rel", "eq"):
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        elif n_gens is None:
+            raise ValueError(f"line {lineno}: '{key}:' before 'gens:'")
         elif key == "rel":
-            if n_gens is None:
-                raise ValueError(f"line {lineno}: 'rel:' before 'gens:'")
             relators.append(parse_word(value, n_gens))
-        elif key == "eq":
-            if n_gens is None:
-                raise ValueError(f"line {lineno}: 'eq:' before 'gens:'")
+        else:
             sides = [s.strip() for s in value.split("=")]
             if len(sides) != 2:
                 raise ValueError(f"line {lineno}: expected 'eq: g = h'")
-            limit = chr(ord("a") + n_gens - 1)
-            for side in sides:
-                for c in side:
-                    if not ("a" <= c <= limit):
-                        raise ValueError(f"line {lineno}: unknown letter {c!r}")
             equations.append((sides[0], sides[1]))
-        else:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
     if n_gens is None:
         raise ValueError("missing 'gens:' line")
     if relators and equations:

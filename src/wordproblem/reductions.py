@@ -17,7 +17,7 @@ cleanup rules erase tape letters adjacent to the marker, so a machine
 halting after k steps reaches the halt word <L><H><R> in exactly
 k + 1 + (remaining tape letters) rewrite steps.
 
-Machine text format ('#' starts a comment):
+Machine text format, read by :func:`wordproblem.words.declarations`:
 
     states: 2
     symbols: a b        first symbol is the blank
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .rewriting import RewriteSystem, SystemKind, successors
+from .words import LETTERS, alphabet_size, check_letters, declarations
 
 Move = str  # "L" or "R"
 Transition = Tuple[int, int, Move]  # new state, written symbol, move
@@ -135,31 +136,25 @@ class TmEncoding:
     system: RewriteSystem
     halt_word: str
 
-    def _char(self, index: int) -> str:
-        return chr(ord("a") + index)
-
-    def _state_char(self, q: int) -> str:
-        return self._char(self.machine.n_symbols + q)
-
     @property
     def left_marker(self) -> str:
-        return self._char(self.machine.n_symbols + self.machine.n_states)
-
-    @property
-    def right_marker(self) -> str:
-        return self._char(self.machine.n_symbols + self.machine.n_states + 1)
+        return self.halt_word[0]
 
     @property
     def halt_marker(self) -> str:
-        return self._char(self.machine.n_symbols + self.machine.n_states + 2)
+        return self.halt_word[1]
+
+    @property
+    def right_marker(self) -> str:
+        return self.halt_word[2]
 
     def config_word(self, c: Configuration) -> str:
         return (
             self.left_marker
-            + "".join(self._char(s) for s in c.left)
-            + self._state_char(c.state)
-            + self._char(c.head)
-            + "".join(self._char(s) for s in c.right)
+            + "".join(LETTERS[s] for s in c.left)
+            + LETTERS[self.machine.n_symbols + c.state]
+            + LETTERS[c.head]
+            + "".join(LETTERS[s] for s in c.right)
             + self.right_marker
         )
 
@@ -180,40 +175,33 @@ def encode(m: TuringMachine) -> TmEncoding:
     halt marker.
     """
     n_letters = m.n_symbols + m.n_states + 3
-    if n_letters > 26:
+    if n_letters > len(LETTERS):
         raise ValueError("machine too large for the letter alphabet")
-
-    def ch(i: int) -> str:
-        return chr(ord("a") + i)
-
-    def state(q: int) -> str:
-        return ch(m.n_symbols + q)
-
-    lend = ch(m.n_symbols + m.n_states)
-    rend = ch(m.n_symbols + m.n_states + 1)
-    halt = ch(m.n_symbols + m.n_states + 2)
-    blank = ch(BLANK)
+    sym = LETTERS[: m.n_symbols]
+    state = LETTERS[m.n_symbols : m.n_symbols + m.n_states]
+    lend, rend, halt = LETTERS[m.n_symbols + m.n_states : n_letters]
+    blank = sym[BLANK]
 
     rules = []
     for (q, s) in sorted(m.transitions):
         q2, written, move = m.transitions[(q, s)]
-        here = state(q) + ch(s)
+        here = state[q] + sym[s]
         if move == "R":
-            for t in range(m.n_symbols):
-                rules.append((here + ch(t), ch(written) + state(q2) + ch(t)))
-            rules.append((here + rend, ch(written) + state(q2) + blank + rend))
+            for t in sym:
+                rules.append((here + t, sym[written] + state[q2] + t))
+            rules.append((here + rend, sym[written] + state[q2] + blank + rend))
         else:
-            for t in range(m.n_symbols):
-                rules.append((ch(t) + here, state(q2) + ch(t) + ch(written)))
-            rules.append((lend + here, lend + state(q2) + blank + ch(written)))
+            for t in sym:
+                rules.append((t + here, state[q2] + t + sym[written]))
+            rules.append((lend + here, lend + state[q2] + blank + sym[written]))
     for q in range(m.n_states):
         for s in range(m.n_symbols):
             if (q, s) not in m.transitions:
-                rules.append((state(q) + ch(s), halt))
-    for t in range(m.n_symbols):
-        rules.append((ch(t) + halt, halt))
-    for t in range(m.n_symbols):
-        rules.append((halt + ch(t), halt))
+                rules.append((state[q] + sym[s], halt))
+    for t in sym:
+        rules.append((t + halt, halt))
+    for t in sym:
+        rules.append((halt + t, halt))
 
     system = RewriteSystem(n_letters, tuple(rules), SystemKind.SEMI_THUE)
     return TmEncoding(m, system, lend + halt + rend)
@@ -264,22 +252,20 @@ def tm_catalog(name: str) -> TuringMachine:
 
 def format_machine(m: TuringMachine) -> str:
     lines = [f"states: {m.n_states}"]
-    lines.append("symbols: " + " ".join(chr(ord("a") + i) for i in range(m.n_symbols)))
+    lines.append("symbols: " + " ".join(LETTERS[: m.n_symbols]))
     lines.append(f"start: q{m.start_state}")
     for (q, s) in sorted(m.transitions):
         q2, w, move = m.transitions[(q, s)]
-        lines.append(
-            f"trans: q{q} {chr(ord('a') + s)} -> q{q2} {chr(ord('a') + w)} {move}"
-        )
+        lines.append(f"trans: q{q} {LETTERS[s]} -> q{q2} {LETTERS[w]} {move}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_state(token: str, n_states: int) -> int:
+def _parse_state(token: str, n_states: int, lineno: int) -> int:
     if not token.startswith("q") or not token[1:].isdigit():
-        raise ValueError(f"bad state name {token!r}")
+        raise ValueError(f"line {lineno}: bad state name {token!r}")
     q = int(token[1:])
     if q >= n_states:
-        raise ValueError(f"state {token!r} out of range")
+        raise ValueError(f"line {lineno}: state {token!r} out of range")
     return q
 
 
@@ -288,41 +274,33 @@ def parse_machine(text: str) -> TuringMachine:
     n_symbols = None
     start = 0
     transitions = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ValueError(f"line {lineno}: expected 'key: value'")
-        key, value = key.strip(), value.strip()
+    for lineno, key, value in declarations(text):
         if key == "states":
-            n_states = int(value)
-        elif key == "symbols":
-            names = value.split()
-            expected = [chr(ord("a") + i) for i in range(len(names))]
-            if not names or names != expected:
+            try:
+                n_states = int(value)
+            except ValueError:
                 raise ValueError(
-                    f"line {lineno}: symbols must be consecutive letters from 'a'"
-                )
-            n_symbols = len(names)
+                    f"line {lineno}: expected a number of states, got {value!r}"
+                ) from None
+        elif key == "symbols":
+            n_symbols = alphabet_size(value, lineno)
         elif key == "start":
             if n_states is None:
                 raise ValueError(f"line {lineno}: 'start:' before 'states:'")
-            start = _parse_state(value, n_states)
+            start = _parse_state(value, n_states, lineno)
         elif key == "trans":
             if n_states is None or n_symbols is None:
                 raise ValueError(f"line {lineno}: 'trans:' before 'states:'/'symbols:'")
             parts = value.split()
             if len(parts) != 6 or parts[2] != "->":
                 raise ValueError(f"line {lineno}: expected 'trans: qI x -> qJ y L|R'")
-            q = _parse_state(parts[0], n_states)
-            q2 = _parse_state(parts[3], n_states)
+            q = _parse_state(parts[0], n_states, lineno)
+            q2 = _parse_state(parts[3], n_states, lineno)
             for sym in (parts[1], parts[4]):
-                if not (len(sym) == 1 and 0 <= ord(sym) - ord("a") < n_symbols):
+                if len(sym) != 1 or sym not in LETTERS[:n_symbols]:
                     raise ValueError(f"line {lineno}: unknown symbol {sym!r}")
-            s = ord(parts[1]) - ord("a")
-            w = ord(parts[4]) - ord("a")
+            s = LETTERS.index(parts[1])
+            w = LETTERS.index(parts[4])
             move = parts[5]
             if move not in ("L", "R"):
                 raise ValueError(f"line {lineno}: move must be L or R")
@@ -337,21 +315,14 @@ def parse_machine(text: str) -> TuringMachine:
 
 
 def parse_tape(text: str, m: TuringMachine) -> Tuple[int, ...]:
-    """Tape words use the same letters as the 'symbols:' line; '1' or ''
-    is the empty tape."""
+    """Tape words use the same letters as the 'symbols:' line."""
     text = text.strip()
     if text in ("", "1"):
         return ()
-    out = []
-    for c in text:
-        s = ord(c) - ord("a")
-        if not 0 <= s < m.n_symbols:
-            raise ValueError(f"unknown tape symbol {c!r}")
-        out.append(s)
-    return tuple(out)
+    return tuple(LETTERS.index(c) for c in check_letters(text, m.n_symbols))
 
 
 def format_tape(tape: Tuple[int, ...]) -> str:
     if not tape:
         return "1"
-    return "".join(chr(ord("a") + s) for s in tape)
+    return "".join(LETTERS[s] for s in tape)

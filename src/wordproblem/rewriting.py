@@ -10,11 +10,11 @@ over a directed system it is forward reachability from the first word
 only.  Every positive answer carries a derivation trace that an
 independent replayer can check step by step.
 
-Text format, one declaration per line ('#' starts a comment):
+Text format, read by :func:`wordproblem.words.declarations`:
 
     alpha: a b c d e
     kind: thue            (or semithue)
-    rule: ac -> ca        (empty right side written as 1)
+    rule: ac -> ca
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import List, Tuple
 
 from .presentations import SemigroupPresentation
 from .search import SearchOutcome, SearchStatus, class_search, forward_search
+from .words import LETTERS, alphabet_size, check_letters, declarations
 
 
 class SystemKind(enum.Enum):
@@ -41,13 +42,10 @@ class RewriteSystem:
     def __post_init__(self):
         if self.alphabet_size < 1 or self.alphabet_size > 26:
             raise ValueError("alphabet size must be between 1 and 26")
-        limit = chr(ord("a") + self.alphabet_size - 1)
         for lhs, rhs in self.rules:
             if not lhs:
                 raise ValueError("empty rule left side (would match everywhere)")
-            for c in lhs + rhs:
-                if not ("a" <= c <= limit):
-                    raise ValueError(f"rule letter {c!r} outside alphabet")
+            check_letters(lhs + rhs, self.alphabet_size)
         if self.kind is SystemKind.THUE:
             rule_set = set(self.rules)
             for lhs, rhs in self.rules:
@@ -55,13 +53,6 @@ class RewriteSystem:
                     raise ValueError(
                         f"symmetric system is missing the swap of ({lhs!r}, {rhs!r})"
                     )
-
-    def check_word(self, w: str) -> str:
-        limit = chr(ord("a") + self.alphabet_size - 1)
-        for c in w:
-            if not ("a" <= c <= limit):
-                raise ValueError(f"letter {c!r} outside alphabet")
-        return w
 
 
 @dataclass(frozen=True)
@@ -121,10 +112,9 @@ def thue_closure(sys: RewriteSystem) -> RewriteSystem:
     return RewriteSystem(sys.alphabet_size, tuple(rules), SystemKind.THUE)
 
 
-def from_semigroup(p: SemigroupPresentation, symmetric: bool = True) -> RewriteSystem:
-    """Equations as productions; by default closed into a symmetric system."""
-    base = RewriteSystem(p.alphabet_size, tuple(p.equations), SystemKind.SEMI_THUE)
-    return thue_closure(base) if symmetric else base
+def from_semigroup(p: SemigroupPresentation) -> RewriteSystem:
+    """Equations as productions, closed into a symmetric system."""
+    return thue_closure(RewriteSystem(p.alphabet_size, tuple(p.equations)))
 
 
 def replay_trace(sys: RewriteSystem, trace: DerivationTrace) -> str:
@@ -157,8 +147,8 @@ def search_equivalence(
     complete forward-reachability set) was enumerated without finding
     the target.
     """
-    sys.check_word(w1)
-    sys.check_word(w2)
+    check_letters(w1, sys.alphabet_size)
+    check_letters(w2, sys.alphabet_size)
 
     def succ(w):
         return [(word, (idx, pos)) for word, idx, pos in successors(w, sys)]
@@ -186,7 +176,7 @@ def rewrite_bounded(w: str, sys: RewriteSystem, max_steps: int) -> DerivationTra
     """Deterministic rewriting: repeatedly take the first successor
     (leftmost position, lowest rule index) until none applies or the
     step limit is reached."""
-    sys.check_word(w)
+    check_letters(w, sys.alphabet_size)
     start = w
     steps = []
     for _ in range(max_steps):
@@ -200,33 +190,20 @@ def rewrite_bounded(w: str, sys: RewriteSystem, max_steps: int) -> DerivationTra
 
 
 def format_system(sys: RewriteSystem) -> str:
-    lines = ["alpha: " + " ".join(chr(ord("a") + i) for i in range(sys.alphabet_size))]
+    lines = ["alpha: " + " ".join(LETTERS[: sys.alphabet_size])]
     lines.append(f"kind: {sys.kind.value}")
     for lhs, rhs in sys.rules:
-        lines.append(f"rule: {lhs} -> {rhs if rhs else '1'}")
+        lines.append(f"rule: {lhs} -> {rhs or '1'}")
     return "\n".join(lines) + "\n"
 
 
 def parse_system(text: str) -> RewriteSystem:
-    alphabet_size = None
+    alphabet = None
     kind = SystemKind.SEMI_THUE
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ValueError(f"line {lineno}: expected 'key: value'")
-        key, value = key.strip(), value.strip()
+    for lineno, key, value in declarations(text):
         if key == "alpha":
-            names = value.split()
-            expected = [chr(ord("a") + i) for i in range(len(names))]
-            if not names or names != expected:
-                raise ValueError(
-                    f"line {lineno}: alphabet must be consecutive letters from 'a'"
-                )
-            alphabet_size = len(names)
+            alphabet = alphabet_size(value, lineno)
         elif key == "kind":
             try:
                 kind = SystemKind(value)
@@ -243,6 +220,6 @@ def parse_system(text: str) -> RewriteSystem:
             rules.append((lhs, rhs))
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-    if alphabet_size is None:
+    if alphabet is None:
         raise ValueError("missing 'alpha:' line")
-    return RewriteSystem(alphabet_size, tuple(rules), kind)
+    return RewriteSystem(alphabet, tuple(rules), kind)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .search import SearchOutcome, SearchStatus, class_search
+from .words import declarations
 
 
 @dataclass(frozen=True)
@@ -175,25 +176,24 @@ def preorder_paths(t: Term) -> List[Tuple[str, Term]]:
     return out
 
 
-def tree_successors(
-    t: Term, rules: List[TreeRule], bidirectional: bool = True
-) -> List[Tuple[Term, TreeStep]]:
-    """One-step rewrites, redexes enumerated in preorder.
+def tree_successors(t: Term, rules: List[TreeRule]) -> List[Tuple[Term, TreeStep]]:
+    """One-step rewrites in both orientations, redexes enumerated in preorder.
 
     At each position rules are tried in order, forward before reverse;
-    results are deduplicated by term, keeping the first witness.
+    results are deduplicated by term, keeping the first witness.  Every
+    rule must carry the same variables on both sides.
     """
+    for idx, rule in enumerate(rules):
+        if not rule.is_reversible():
+            raise ValueError(
+                f"rule {idx} cannot be applied in reverse: "
+                "its sides carry different variables"
+            )
     out = []
     seen = set()
-    directions = (FORWARD, REVERSE) if bidirectional else (FORWARD,)
     for path, subject in preorder_paths(t):
         for idx, rule in enumerate(rules):
-            for direction in directions:
-                if direction == REVERSE and not rule.is_reversible():
-                    raise ValueError(
-                        f"rule {idx} cannot be applied in reverse: "
-                        "its sides carry different variables"
-                    )
+            for direction in (FORWARD, REVERSE):
                 src, dst = (
                     (rule.lhs, rule.rhs) if direction == FORWARD else (rule.rhs, rule.lhs)
                 )
@@ -234,13 +234,10 @@ def search_tree_equivalence(
                 "symmetric search requires equal variable sets"
             )
 
-    def succ(t):
-        return tree_successors(t, rules, bidirectional=True)
-
     status, steps, stats = class_search(
         a,
         b,
-        succ,
+        lambda t: tree_successors(t, rules),
         lambda step: step.reversed(),
         lambda t: (term_size(t), format_term(t)),
         budget,
@@ -318,14 +315,10 @@ def parse_tree_rule(text: str) -> TreeRule:
 
 
 def parse_tree_rules(text: str) -> List[TreeRule]:
-    """One 'rule: lhs => rhs' declaration per line; '#' starts a comment."""
+    """One 'rule: lhs => rhs' declaration per line."""
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition(":")
-        if not sep or key.strip() != "rule":
+    for lineno, key, value in declarations(text):
+        if key != "rule":
             raise ValueError(f"line {lineno}: expected 'rule: lhs => rhs'")
         rules.append(parse_tree_rule(value))
     return rules

@@ -1,17 +1,23 @@
-"""Free-group word algebra.
+"""Free-group word algebra and the shared text conventions.
 
 A group word is a flat tuple of letters, each letter a (generator index,
 sign) pair.  Generator indices are 0-based; sign +1 is the generator
 itself, -1 its inverse.  The textual form writes generator i as the
-lowercase letter chr(ord('a') + i) and its inverse as the uppercase
-letter, so "abA" is a*b*a^-1.  The empty word prints as "1".
+lowercase letter LETTERS[i] and its inverse as the uppercase letter, so
+"abA" is a*b*a^-1.  The empty word prints as "1".
+
+The four text formats of the package (presentations, rewriting systems,
+machines, tree rules) are read through :func:`declarations`, and their
+alphabets are checked by :func:`alphabet_size` and :func:`check_letters`.
 
 All functions here are pure and operate on immutable tuples.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
+
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class GenLetter(NamedTuple):
@@ -128,9 +134,9 @@ def format_word(w: Word) -> str:
         return "1"
     chars = []
     for letter in w:
-        if letter.index >= 26:
+        if letter.index >= len(LETTERS):
             raise ValueError("text format only supports generator indices < 26")
-        c = chr(ord("a") + letter.index)
+        c = LETTERS[letter.index]
         chars.append(c if letter.sign > 0 else c.upper())
     return "".join(chars)
 
@@ -161,11 +167,43 @@ def parse_word(text: str, n_gens: Optional[int] = None) -> Word:
     return tuple(letters)
 
 
-def conjugate(w: Word, u: Word) -> Word:
-    """u * w * u^-1, freely reduced."""
-    return free_reduce(concat(u, w, invert(u)))
-
-
 def commutator(a: Word, b: Word) -> Word:
     """a * b * a^-1 * b^-1, freely reduced."""
     return free_reduce(concat(a, b, invert(a), invert(b)))
+
+
+def declarations(text: str) -> Iterator[Tuple[int, str, str]]:
+    """(line number, key, value) for each 'key: value' line of text.
+
+    '#' starts a comment; blank and comment-only lines are skipped.  The
+    key ends at the first ':', so the value may contain more of them.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise ValueError(f"line {lineno}: expected 'key: value', got {line!r}")
+        yield lineno, key.strip(), value.strip()
+
+
+def alphabet_size(value: str, lineno: int) -> int:
+    """Size of an alphabet declared as consecutive letters from 'a'."""
+    names = value.split()
+    if not names or names != list(LETTERS[: len(names)]):
+        raise ValueError(
+            f"line {lineno}: expected consecutive letters from 'a' "
+            f"(at most {len(LETTERS)}), got {value!r}"
+        )
+    return len(names)
+
+
+def check_letters(text: str, size: int) -> str:
+    """Return text if it uses only the first size letters; else name the
+    first letter that falls outside."""
+    allowed = LETTERS[:size]
+    for c in text:
+        if c not in allowed:
+            raise ValueError(f"letter {c!r} outside alphabet of size {size}")
+    return text

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import subprocess
 import sys
 
 import pytest
+
+from wordproblem.cli import main
 
 CLI = [sys.executable, "-m", "wordproblem.cli"]
 
@@ -198,6 +202,16 @@ class TestErrors:
         result = run("dehn-solve", "--preset", "free_abelian", "--genus", "3", "ab")
         self.assert_one_error_line(result)
 
+    def test_27th_generator(self, tmp_path):
+        path = tmp_path / "pres.txt"
+        path.write_text("gens: " + " ".join("abcdefghijklmnopqrstuvwxyz{") + "\nrel: ab\n")
+        self.assert_one_error_line(run("dehn-solve", "--presentation", str(path), "ab"))
+
+    def test_27th_machine_symbol(self, tmp_path):
+        path = tmp_path / "machine.txt"
+        path.write_text("states: 1\nsymbols: " + " ".join("abcdefghijklmnopqrstuvwxyz{") + "\n")
+        self.assert_one_error_line(run("tm-run", "--machine", str(path), "--input", "{{"))
+
 
 class TestGoldenDeterminism:
     INVOCATIONS = [
@@ -225,3 +239,350 @@ class TestGoldenDeterminism:
         argv = ("equiv", "--sys", ceijtin_file, "--from", "cdca", "--to", "cdcae",
                 "--budget", "500", "--format", "lines")
         assert run(*argv).stdout == run(*argv).stdout
+
+
+# Golden table: exact stdout and exit code of the CLI for every
+# subcommand, in both output formats.  Any changed byte fails.
+SAME = None  # the lines format prints the same text as the human one
+
+CEIJTIN_SYSTEM = ("alpha: a b c d e\n"
+                  "kind: thue\n"
+                  "rule: ac -> ca\n"
+                  "rule: ad -> da\n"
+                  "rule: bc -> cb\n"
+                  "rule: bd -> db\n"
+                  "rule: ce -> eca\n"
+                  "rule: de -> edb\n"
+                  "rule: cdca -> cdcae\n"
+                  "rule: caaa -> aaa\n"
+                  "rule: daaa -> aaa\n"
+                  "rule: ca -> ac\n"
+                  "rule: da -> ad\n"
+                  "rule: cb -> bc\n"
+                  "rule: db -> bd\n"
+                  "rule: eca -> ce\n"
+                  "rule: edb -> de\n"
+                  "rule: cdcae -> cdca\n"
+                  "rule: aaa -> caaa\n"
+                  "rule: aaa -> daaa\n")
+
+GOLDEN_FILES = {
+    "sys": CEIJTIN_SYSTEM,
+    "erase": "alpha: a b\nkind: semithue\nrule: ab -> 1\n",
+    "assoc": "rule: ((?x ?y) ?z) => (?x (?y ?z))\n",
+    "pres": "# genus-2 surface\ngens: a b c d\nrel: abABcdCD\n",
+    "semi": "gens: a b\neq: ab = ba\n",
+    "machine": ("states: 2\nsymbols: a b\nstart: q0\n"
+                "trans: q0 b -> q0 b R\ntrans: q0 a -> q1 b R\n"),
+}
+
+GOLDEN = [
+    (("reduce", "abcCBA"), 0,
+     "reduced: 1\n",
+     "reduced 1\n"),
+    (("reduce", "abA", "--cyclic"), 0,
+     ("reduced: abA\n"
+      "core: b\n"
+      "conjugator: a\n"),
+     ("reduced abA\n"
+      "core b\n"
+      "conjugator a\n")),
+    (("dehn-solve", "--preset", "surface", "--genus", "2", "cabABcdCDC"), 0,
+     ("verdict: trivial\n"
+      "step: relator 0 at 1 replacing 8\n"
+      "final: 1\n"),
+     ("verdict trivial\n"
+      "step 0 1 8\n"
+      "final 1\n")),
+    (("dehn-solve", "--presentation", "{pres}", "abAc"), 0,
+     ("verdict: nontrivial-certified\n"
+      "final: abAc\n"),
+     ("verdict nontrivial-certified\n"
+      "final abAc\n")),
+    (("dehn-solve", "--preset", "torus", "aabbAABB"), 2,
+     ("verdict: inconclusive\n"
+      "final: aabbAABB\n"),
+     ("verdict inconclusive\n"
+      "final aabbAABB\n")),
+    (("small-cancel", "--preset", "surface", "--genus", "3"), 0,
+     ("max piece ratio: 1/12\n"
+      "C'(1/6): holds\n"),
+     ("ratio 1/12\n"
+      "smallcancel 1/6 holds\n")),
+    (("small-cancel", "--preset", "torus", "--bound", "1/4"), 0,
+     ("max piece ratio: 1/4\n"
+      "C'(1/4): fails\n"),
+     ("ratio 1/4\n"
+      "smallcancel 1/4 fails\n")),
+    (("rewrite", "--sys", "{sys}", "cdcaaa", "--max-steps", "3"), 0,
+     ("step 6 @0 => cdcaeaa\n"
+      "step 6 @0 => cdcaeeaa\n"
+      "step 6 @0 => cdcaeeeaa\n"
+      "final: cdcaeeeaa\n"),
+     ("step 6 @0 => cdcaeaa\n"
+      "step 6 @0 => cdcaeeaa\n"
+      "step 6 @0 => cdcaeeeaa\n"
+      "final cdcaeeeaa\n")),
+    (("rewrite", "--sys", "{erase}", "aabb"), 0,
+     ("step 0 @1 => ab\n"
+      "step 0 @0 => 1\n"
+      "final: 1\n"),
+     ("step 0 @1 => ab\n"
+      "step 0 @0 => 1\n"
+      "final 1\n")),
+    (("equiv", "--sys", "{sys}", "--from", "caaa", "--to", "aaa", "--budget", "10"), 0,
+     ("status: proven\n"
+      "step 7 @0 => aaa\n"
+      "stats: expanded=1 frontier-peak=2 depth=0\n"),
+     ("status proven\n"
+      "step 7 @0 => aaa\n"
+      "stats 1 2 0\n")),
+    (("equiv", "--sys", "{sys}", "--from", "aaa", "--to", "b", "--budget", "1000"), 0,
+     ("status: refuted-exhausted\n"
+      "stats: expanded=1 frontier-peak=2 depth=0\n"),
+     ("status refuted-exhausted\n"
+      "stats 1 2 0\n")),
+    (("equiv", "--sys", "{sys}", "--from", "aaa", "--to", "aaaa", "--budget", "50"), 2,
+     ("status: budget-exhausted\n"
+      "stats: expanded=50 frontier-peak=86 depth=4\n"),
+     ("status budget-exhausted\n"
+      "stats 50 86 4\n")),
+    (("equiv", "--sys", "{erase}", "--from", "aabb", "--to", "1"), 0,
+     ("status: proven\n"
+      "step 0 @1 => ab\n"
+      "step 0 @0 => 1\n"
+      "stats: expanded=2 frontier-peak=1 depth=1\n"),
+     ("status proven\n"
+      "step 0 @1 => ab\n"
+      "step 0 @0 => 1\n"
+      "stats 2 1 1\n")),
+    (("tree-equiv", "--rules", "{assoc}", "--from", "((A B) (C D))", "--to", "(A (B (C D)))"), 0,
+     ("status: proven\n"
+      "step 0 fwd @- => (A (B (C D)))\n"
+      "stats: expanded=1 frontier-peak=2 depth=0\n"),
+     ("status proven\n"
+      "step 0 fwd @- => (A (B (C D)))\n"
+      "stats 1 2 0\n")),
+    (("tree-equiv", "--rules", "{assoc}", "--from", "((A B) C)", "--to", "(A (C B))"), 0,
+     ("status: refuted-exhausted\n"
+      "stats: expanded=2 frontier-peak=2 depth=1\n"),
+     ("status refuted-exhausted\n"
+      "stats 2 2 1\n")),
+    (("tree-equiv", "--rules", "{assoc}", "--from", "(((A B) C) D)", "--to", "(A (B (C E)))", "--budget", "2"), 2,
+     ("status: budget-exhausted\n"
+      "stats: expanded=2 frontier-peak=4 depth=0\n"),
+     ("status budget-exhausted\n"
+      "stats 2 4 0\n")),
+    (("seq", "--kind", "tm", "--n", "16", "--check", "3"), 0,
+     ("word: 0110100110010110\n"
+      "power-free k=3: true\n"),
+     ("word 0110100110010110\n"
+      "powerfree 3 true\n")),
+    (("seq", "--kind", "tm", "--n", "16", "--check", "2"), 0,
+     ("word: 0110100110010110\n"
+      "power-free k=2: false (block of length 1 at 1)\n"),
+     ("word 0110100110010110\n"
+      "powerfree 2 false 1 1\n")),
+    (("seq", "--kind", "sf3", "--n", "24", "--check", "2"), 0,
+     ("word: 012021012102012021020121\n"
+      "power-free k=2: true\n"),
+     ("word 012021012102012021020121\n"
+      "powerfree 2 true\n")),
+    (("cayley", "--preset", "dihedral5", "--max-cosets", "64", "--word", "aaaaa", "--delta", "--tgf"), 0,
+     ("status: complete\n"
+      "cosets: 10\n"
+      "word aaaaa: trivial\n"
+      "delta: 1\n"
+      "0 0\n"
+      "1 1\n"
+      "2 2\n"
+      "3 3\n"
+      "4 4\n"
+      "5 5\n"
+      "6 6\n"
+      "7 7\n"
+      "8 8\n"
+      "9 9\n"
+      "#\n"
+      "0 1 a\n"
+      "0 5 b\n"
+      "1 2 a\n"
+      "1 7 b\n"
+      "2 3 a\n"
+      "2 8 b\n"
+      "3 4 a\n"
+      "3 9 b\n"
+      "4 0 a\n"
+      "4 6 b\n"
+      "5 6 a\n"
+      "5 0 b\n"
+      "6 9 a\n"
+      "6 4 b\n"
+      "7 5 a\n"
+      "7 1 b\n"
+      "8 7 a\n"
+      "8 2 b\n"
+      "9 8 a\n"
+      "9 3 b\n"),
+     ("status complete\n"
+      "cosets 10\n"
+      "word aaaaa trivial\n"
+      "delta 1\n"
+      "0 0\n"
+      "1 1\n"
+      "2 2\n"
+      "3 3\n"
+      "4 4\n"
+      "5 5\n"
+      "6 6\n"
+      "7 7\n"
+      "8 8\n"
+      "9 9\n"
+      "#\n"
+      "0 1 a\n"
+      "0 5 b\n"
+      "1 2 a\n"
+      "1 7 b\n"
+      "2 3 a\n"
+      "2 8 b\n"
+      "3 4 a\n"
+      "3 9 b\n"
+      "4 0 a\n"
+      "4 6 b\n"
+      "5 6 a\n"
+      "5 0 b\n"
+      "6 9 a\n"
+      "6 4 b\n"
+      "7 5 a\n"
+      "7 1 b\n"
+      "8 7 a\n"
+      "8 2 b\n"
+      "9 8 a\n"
+      "9 3 b\n")),
+    (("cayley", "--presentation", "{pres}", "--max-cosets", "20"), 2,
+     ("status: budget-exceeded\n"
+      "cosets: 20\n"),
+     ("status budget-exceeded\n"
+      "cosets 20\n")),
+    (("cayley", "--preset", "dihedral5", "--word", "ab"), 0,
+     ("status: complete\n"
+      "cosets: 10\n"
+      "word ab: nontrivial\n"),
+     ("status complete\n"
+      "cosets 10\n"
+      "word ab nontrivial\n")),
+    (("tm-run", "--preset", "unary_appender", "--input", "bb"), 0,
+     ("status: halted\n"
+      "steps: 3\n"
+      "tape: bbb\n"),
+     ("status halted\n"
+      "steps 3\n"
+      "tape bbb\n")),
+    (("tm-run", "--preset", "loop_right", "--max-steps", "5"), 2,
+     ("status: running\n"
+      "steps: 5\n"
+      "tape: 1\n"),
+     ("status running\n"
+      "steps 5\n"
+      "tape 1\n")),
+    (("tm-run", "--machine", "{machine}", "--input", "bba"), 0,
+     ("status: halted\n"
+      "steps: 3\n"
+      "tape: bbb\n"),
+     ("status halted\n"
+      "steps 3\n"
+      "tape bbb\n")),
+    (("tm-encode", "--preset", "unary_appender", "--input", "bb"), 0,
+     ("# halt-word: egf\n"
+      "# start-word: ecbbf\n"
+      "alpha: a b c d e f g\n"
+      "kind: semithue\n"
+      "rule: caa -> bda\n"
+      "rule: cab -> bdb\n"
+      "rule: caf -> bdaf\n"
+      "rule: cba -> bca\n"
+      "rule: cbb -> bcb\n"
+      "rule: cbf -> bcaf\n"
+      "rule: da -> g\n"
+      "rule: db -> g\n"
+      "rule: ag -> g\n"
+      "rule: bg -> g\n"
+      "rule: ga -> g\n"
+      "rule: gb -> g\n"),
+     SAME),
+    (("tm-encode", "--machine", "{machine}"), 0,
+     ("# halt-word: egf\n"
+      "alpha: a b c d e f g\n"
+      "kind: semithue\n"
+      "rule: caa -> bda\n"
+      "rule: cab -> bdb\n"
+      "rule: caf -> bdaf\n"
+      "rule: cba -> bca\n"
+      "rule: cbb -> bcb\n"
+      "rule: cbf -> bcaf\n"
+      "rule: da -> g\n"
+      "rule: db -> g\n"
+      "rule: ag -> g\n"
+      "rule: bg -> g\n"
+      "rule: ga -> g\n"
+      "rule: gb -> g\n"),
+     SAME),
+    (("catalog", "dihedral5"), 0,
+     ("gens: a b\n"
+      "rel: aaaaa\n"
+      "rel: bb\n"
+      "rel: baba\n"),
+     SAME),
+    (("catalog", "surface", "--genus", "3"), 0,
+     ("gens: a b c d e f\n"
+      "rel: abABcdCDefEF\n"),
+     SAME),
+    (("catalog", "free_abelian", "--rank", "3"), 0,
+     ("gens: a b c\n"
+      "rel: abAB\n"
+      "rel: acAC\n"
+      "rel: bcBC\n"),
+     SAME),
+    (("catalog", "higman_truncated", "--exponents", "1,2"), 0,
+     ("gens: a b c d\n"
+      "rel: AbaCDc\n"
+      "rel: AAbaaCCDcc\n"),
+     SAME),
+    (("catalog", "ceijtin", "--rewrite"), 0, CEIJTIN_SYSTEM, SAME),
+    (("catalog", "trefoil"), 0,
+     ("gens: a b\n"
+      "rel: aaBBB\n"),
+     SAME),
+    (("reduce", "a_b"), 1,
+     "",
+     SAME),
+    (("dehn-solve", "--presentation", "{semi}", "ab"), 1,
+     "",
+     SAME),
+    (("catalog", "torus", "--rewrite"), 1,
+     "",
+     SAME),
+]
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, text in GOLDEN_FILES.items():
+        path = root / f"{name}.txt"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("fmt", ["human", "lines"])
+@pytest.mark.parametrize(
+    "argv,code,human,lines", GOLDEN, ids=[" ".join(row[0]) for row in GOLDEN]
+)
+def test_golden_output(golden_files, argv, code, human, lines, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        got = main([a.format(**golden_files) for a in argv] + ["--format", fmt])
+    expected = human if fmt == "human" or lines is SAME else lines
+    assert (got, out.getvalue()) == (code, expected)

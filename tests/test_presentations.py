@@ -268,3 +268,15 @@ class TestTextFormat:
     def test_comments_and_blank_lines(self):
         p = parse_presentation("# a comment\n\ngens: a\nrel: aaa  # inline\n")
         assert p == GroupPresentation(1, (w("aaa"),))
+
+    def test_at_most_26_generators(self):
+        gens = " ".join("abcdefghijklmnopqrstuvwxyz")
+        assert parse_presentation(f"gens: {gens}\nrel: az\n").n_gens == 26
+        with pytest.raises(ValueError, match="^line 1: expected consecutive letters"):
+            parse_presentation(f"gens: {gens} {{\nrel: a\n")
+        with pytest.raises(ValueError, match="^line 1: expected consecutive letters"):
+            parse_presentation(f"gens: {gens} {{\neq: a = a\n")
+
+    def test_equation_letter_outside_alphabet(self):
+        with pytest.raises(ValueError, match="^letter 'c' outside alphabet of size 2$"):
+            parse_presentation("gens: a b\neq: ab = c\n")

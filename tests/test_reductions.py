@@ -171,3 +171,25 @@ def test_two_letter_symbol_rejected():
     for line in ("trans: q0 ab -> q0 b R", "trans: q0 a -> q0 ba R"):
         with pytest.raises(ValueError, match="unknown symbol"):
             parse_machine(f"states: 1\nsymbols: a b\n{line}\n")
+
+
+def test_at_most_26_symbols():
+    symbols = " ".join("abcdefghijklmnopqrstuvwxyz")
+    assert parse_machine(f"states: 1\nsymbols: {symbols}\n").n_symbols == 26
+    with pytest.raises(ValueError, match="^line 2: expected consecutive letters"):
+        parse_machine(f"states: 1\nsymbols: {symbols} {{\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("states: x\nsymbols: a\n", "line 1: expected a number of states, got 'x'"),
+        ("states: 2\nsymbols: a\nstart: q3\n", "line 3: state 'q3' out of range"),
+        ("states: 2\nsymbols: a\nstart: 3\n", "line 3: bad state name '3'"),
+        ("states: 1\nsymbols: a\n\ntrans: q0 a -> q5 a R\n", "line 4: state 'q5' out of range"),
+    ],
+)
+def test_machine_errors_name_their_line(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_machine(text)
+    assert str(info.value) == message

@@ -265,6 +265,11 @@ class TestSuccessorsDeterminism:
         paths = [step.path for _, step in succ]
         assert paths == sorted(paths, key=lambda p: (preorder_rank(t, p)))
 
+    def test_non_reversible_rule_rejected(self):
+        collapse = TreeRule(Node(Leaf("?x"), Leaf("?y")), Leaf("?x"))
+        with pytest.raises(ValueError, match="^rule 1 cannot be applied in reverse"):
+            tree_successors(Node(A, B), [ASSOCIATIVITY, collapse])
+
     def test_variables_helper(self):
         assert variables(parse_term("((?x A) ?y)")) == frozenset({"?x", "?y"})
 

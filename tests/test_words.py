@@ -4,10 +4,14 @@ import pytest
 
 from wordproblem.words import (
     EPSILON,
+    LETTERS,
     GenLetter,
+    alphabet_size,
+    check_letters,
     commutator,
     concat,
     cyclic_reduce,
+    declarations,
     exponent_vector,
     format_word,
     free_reduce,
@@ -146,3 +150,40 @@ class TestTextFormat:
 
     def test_letters(self):
         assert parse_word("aB") == (GenLetter(0, 1), GenLetter(1, -1))
+
+
+class TestDeclarations:
+    def test_skips_comments_and_blank_lines(self):
+        text = "# header\n\n  gens: a b  # trailing\n   \nrel: abAB\n"
+        assert list(declarations(text)) == [(3, "gens", "a b"), (5, "rel", "abAB")]
+
+    def test_missing_colon_names_its_line(self):
+        with pytest.raises(ValueError, match="^line 2: expected 'key: value', got 'rel abAB'$"):
+            list(declarations("gens: a b\nrel abAB\n"))
+
+    def test_value_may_contain_colons(self):
+        text = "rule: (A:p B) => (B A:p)\n"
+        assert list(declarations(text)) == [(1, "rule", "(A:p B) => (B A:p)")]
+
+
+class TestAlphabetSize:
+    def test_all_26_letters(self):
+        assert alphabet_size(" ".join(LETTERS), 1) == 26
+        assert alphabet_size("a", 1) == 1
+
+    def test_rejects_bad_lines(self):
+        for value in (" ".join(LETTERS) + " {", "a c", "a bc", "ab", "b", ""):
+            with pytest.raises(ValueError, match="^line 4: expected consecutive letters"):
+                alphabet_size(value, 4)
+
+
+class TestCheckLetters:
+    def test_accepts_and_returns_text(self):
+        assert check_letters("abcab", 3) == "abcab"
+        assert check_letters("", 1) == ""
+
+    def test_reports_the_first_bad_letter(self):
+        with pytest.raises(ValueError, match="^letter 'd' outside alphabet of size 3$"):
+            check_letters("abdxA", 3)
+        with pytest.raises(ValueError, match="^letter '{' outside alphabet of size 26$"):
+            check_letters("z{", 26)
