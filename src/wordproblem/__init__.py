@@ -25,7 +25,6 @@ from .presentations import (
 )
 from .dehn import DehnOutcome, Verdict, dehn_solve, dehn_step
 from .rewriting import (
-    DerivationTrace,
     RewriteSystem,
     SystemKind,
     apply_rule,
@@ -33,7 +32,7 @@ from .rewriting import (
     successors,
     thue_closure,
 )
-from .search import SearchOutcome, SearchStats, SearchStatus
+from .search import DerivationTrace, SearchOutcome, SearchStats, SearchStatus
 from .terms import (
     Leaf,
     Node,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .presentations import GroupPresentation
-from .words import LETTERS, GenLetter, Word, free_reduce
+from .words import GenLetter, Word, free_reduce, spell
 
 
 class TableStatus(enum.Enum):
@@ -44,9 +44,6 @@ class CosetTable:
     @property
     def n_cosets(self) -> int:
         return len(self.rows)
-
-    def step(self, coset: int, letter: GenLetter) -> Optional[int]:
-        return self.rows[coset][_column(letter)]
 
 
 class _Budget(Exception):
@@ -297,9 +294,10 @@ def estimate_delta(g: CayleyGraph) -> int:
 def to_tgf(g: CayleyGraph) -> str:
     """Trivial graph format: vertex lines, '#', then one labelled edge per
     vertex and positive generator (inverse edges are implied)."""
+    names = spell(range(g.n_gens))
     lines = [f"{v} {v}" for v in range(g.n_vertices)]
     lines.append("#")
     for u in range(g.n_vertices):
-        for i in range(g.n_gens):
-            lines.append(f"{u} {g.neighbors[u][2 * i]} {LETTERS[i]}")
+        for i, name in enumerate(names):
+            lines.append(f"{u} {g.neighbors[u][2 * i]} {name}")
     return "\n".join(lines) + "\n"

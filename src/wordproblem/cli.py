@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import cayley, dehn, presentations, reductions, rewriting, sequences, terms
-from .search import SearchStatus
+from .search import DerivationTrace, SearchStatus, replay
 from .words import LETTERS, cyclic_reduce, format_word, free_reduce, parse_word
 
 EXIT_OK = 0
@@ -133,17 +133,13 @@ def cmd_small_cancel(args) -> int:
     return EXIT_OK
 
 
-def _print_string_trace(sys_, trace: rewriting.DerivationTrace):
-    w = trace.start
-    for idx, pos in trace.steps:
-        w = rewriting.apply_rule(w, sys_, idx, pos)
+def _print_string_trace(sys_, trace: DerivationTrace):
+    for (idx, pos), w in replay(trace, lambda w, step: rewriting.apply_rule(w, sys_, *step)):
         print(f"step {idx} @{pos} => {w or '1'}")
 
 
-def _print_tree_trace(rules, trace: terms.TreeDerivationTrace):
-    t = trace.start
-    for step in trace.steps:
-        t = terms.apply_tree_rule(t, rules[step.rule], step.path, step.direction)
+def _print_tree_trace(rules, trace: DerivationTrace):
+    for step, t in replay(trace, lambda t, step: terms.apply_tree_step(t, rules, step)):
         where = step.path or "-"
         print(f"step {step.rule} {step.direction} @{where} => {terms.format_term(t)}")
 

@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 from .words import (
-    LETTERS,
     Word,
     alphabet_size,
     check_letters,
@@ -37,6 +36,7 @@ from .words import (
     is_cyclically_reduced,
     make_word,
     parse_word,
+    spell,
 )
 
 
@@ -265,7 +265,7 @@ def catalog(name: str, **params) -> Presentation:
 
 
 def _gens_line(n: int) -> str:
-    return "gens: " + " ".join(LETTERS[:n])
+    return "gens: " + " ".join(spell(range(n)))
 
 
 def format_presentation(p: Presentation) -> str:
@@ -294,7 +294,10 @@ def parse_presentation(text: str) -> Presentation:
         elif n_gens is None:
             raise ValueError(f"line {lineno}: '{key}:' before 'gens:'")
         elif key == "rel":
-            relators.append(parse_word(value, n_gens))
+            try:
+                relators.append(parse_word(value, n_gens))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         else:
             sides = [s.strip() for s in value.split("=")]
             if len(sides) != 2:

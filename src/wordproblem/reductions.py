@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .rewriting import RewriteSystem, SystemKind, successors
-from .words import LETTERS, alphabet_size, check_letters, declarations
+from .words import LETTERS, alphabet_size, check_letters, declarations, spell
 
 Move = str  # "L" or "R"
 Transition = Tuple[int, int, Move]  # new state, written symbol, move
@@ -149,14 +149,8 @@ class TmEncoding:
         return self.halt_word[2]
 
     def config_word(self, c: Configuration) -> str:
-        return (
-            self.left_marker
-            + "".join(LETTERS[s] for s in c.left)
-            + LETTERS[self.machine.n_symbols + c.state]
-            + LETTERS[c.head]
-            + "".join(LETTERS[s] for s in c.right)
-            + self.right_marker
-        )
+        cells = c.left + (self.machine.n_symbols + c.state, c.head) + c.right
+        return self.left_marker + spell(cells) + self.right_marker
 
     def start_word(self, tape: Tuple[int, ...]) -> str:
         return self.config_word(initial_config(self.machine, tape))
@@ -252,11 +246,12 @@ def tm_catalog(name: str) -> TuringMachine:
 
 def format_machine(m: TuringMachine) -> str:
     lines = [f"states: {m.n_states}"]
-    lines.append("symbols: " + " ".join(LETTERS[: m.n_symbols]))
+    names = spell(range(m.n_symbols))
+    lines.append("symbols: " + " ".join(names))
     lines.append(f"start: q{m.start_state}")
     for (q, s) in sorted(m.transitions):
         q2, w, move = m.transitions[(q, s)]
-        lines.append(f"trans: q{q} {LETTERS[s]} -> q{q2} {LETTERS[w]} {move}")
+        lines.append(f"trans: q{q} {names[s]} -> q{q2} {names[w]} {move}")
     return "\n".join(lines) + "\n"
 
 
@@ -325,4 +320,4 @@ def parse_tape(text: str, m: TuringMachine) -> Tuple[int, ...]:
 def format_tape(tape: Tuple[int, ...]) -> str:
     if not tape:
         return "1"
-    return "".join(LETTERS[s] for s in tape)
+    return spell(tape)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .presentations import SemigroupPresentation
-from .search import SearchOutcome, SearchStatus, class_search, forward_search
+from .search import DerivationTrace, SearchOutcome, class_search, forward_search, replay
 from .words import LETTERS, alphabet_size, check_letters, declarations
 
 
@@ -53,15 +53,6 @@ class RewriteSystem:
                     raise ValueError(
                         f"symmetric system is missing the swap of ({lhs!r}, {rhs!r})"
                     )
-
-
-@dataclass(frozen=True)
-class DerivationTrace:
-    """Replayable witness: (rule index, position) steps from start to end."""
-
-    start: str
-    steps: Tuple[Tuple[int, int], ...]
-    end: str
 
 
 def apply_rule(w: str, sys: RewriteSystem, rule_index: int, pos: int) -> str:
@@ -99,17 +90,9 @@ def successors(w: str, sys: RewriteSystem) -> List[Tuple[str, int, int]]:
 
 def thue_closure(sys: RewriteSystem) -> RewriteSystem:
     """Symmetric closure: original rules (deduplicated) then missing swaps."""
-    rules: list = []
-    seen = set()
-    for rule in sys.rules:
-        if rule not in seen:
-            seen.add(rule)
-            rules.append(rule)
-    for lhs, rhs in list(rules):
-        if (rhs, lhs) not in seen:
-            seen.add((rhs, lhs))
-            rules.append((rhs, lhs))
-    return RewriteSystem(sys.alphabet_size, tuple(rules), SystemKind.THUE)
+    swaps = tuple((rhs, lhs) for lhs, rhs in sys.rules)
+    rules = tuple(dict.fromkeys(sys.rules + swaps))
+    return RewriteSystem(sys.alphabet_size, rules, SystemKind.THUE)
 
 
 def from_semigroup(p: SemigroupPresentation) -> RewriteSystem:
@@ -119,12 +102,9 @@ def from_semigroup(p: SemigroupPresentation) -> RewriteSystem:
 
 def replay_trace(sys: RewriteSystem, trace: DerivationTrace) -> str:
     """Re-apply every step, checking occurrences; raises on any mismatch."""
-    w = trace.start
-    for idx, pos in trace.steps:
-        w = apply_rule(w, sys, idx, pos)
-    if w != trace.end:
-        raise ValueError(f"trace ends at {w!r}, recorded end is {trace.end!r}")
-    return w
+    for _ in replay(trace, lambda w, step: apply_rule(w, sys, *step)):
+        pass
+    return trace.end
 
 
 def _swap_index_map(sys: RewriteSystem) -> dict:
@@ -160,16 +140,10 @@ def search_equivalence(
             idx, pos = step
             return (swap[idx], pos)
 
-        status, steps, stats = class_search(
-            w1, w2, succ, reverse_step, lambda w: (len(w), w), budget
+        return SearchOutcome(
+            *class_search(w1, w2, succ, reverse_step, lambda w: (len(w), w), budget)
         )
-    else:
-        status, steps, stats = forward_search(w1, w2, succ, budget)
-
-    trace = None
-    if status is SearchStatus.PROVEN:
-        trace = DerivationTrace(w1, tuple(steps), w2)
-    return SearchOutcome(status, trace, stats)
+    return SearchOutcome(*forward_search(w1, w2, succ, budget))
 
 
 def rewrite_bounded(w: str, sys: RewriteSystem, max_steps: int) -> DerivationTrace:

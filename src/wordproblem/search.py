@@ -1,12 +1,15 @@
-"""Bounded breadth-first search with replayable step sequences.
+"""Bounded breadth-first search and the derivation traces it proves.
 
 Two entry points: plain forward reachability (directed systems) and a
 bidirectional class search for symmetric systems, where the target's
 class is explored at the same time as the source's.  The budget counts
-expanded (popped) states, summed over both directions.
+expanded (popped) states, summed over both directions.  String and tree
+rewriting share both, and this module owns their witness format: a
+:class:`DerivationTrace` (start, steps, end), re-checked by :func:`replay`
+with the caller's step function.
 
 Outcomes:
-  PROVEN             a path was found; a step list witnesses it
+  PROVEN             a path was found; a DerivationTrace witnesses it
   REFUTED_EXHAUSTED  a full class/reachability set was enumerated within
                      budget and does not contain the target
   BUDGET_EXHAUSTED   the budget ran out first
@@ -22,7 +25,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 
 class SearchStatus(enum.Enum):
@@ -39,12 +42,36 @@ class SearchStats:
 
 
 @dataclass(frozen=True)
+class DerivationTrace:
+    """Replayable witness: steps rewriting start into end.  String steps
+    are (rule index, position) pairs, tree steps are TreeSteps."""
+
+    start: object
+    steps: Tuple[object, ...]
+    end: object
+
+
+@dataclass(frozen=True)
 class SearchOutcome:
-    """Status plus (for PROVEN) a module-specific trace and run statistics."""
+    """Status plus (for PROVEN) a derivation trace and run statistics."""
 
     status: SearchStatus
-    trace: Optional[object]
+    trace: Optional[DerivationTrace]
     stats: SearchStats
+
+
+def replay(
+    trace: DerivationTrace, apply_step: Callable[[object, object], object]
+) -> Iterator[Tuple[object, object]]:
+    """Yield (step, state after it) for every step of the trace, applying
+    each with apply_step(state, step), which raises if the step does not
+    apply; then raise ValueError unless the last state is trace.end."""
+    state = trace.start
+    for step in trace.steps:
+        state = apply_step(state, step)
+        yield step, state
+    if state != trace.end:
+        raise ValueError(f"trace ends at {state!r}, recorded end is {trace.end!r}")
 
 
 def forward_search(
@@ -52,12 +79,12 @@ def forward_search(
     goal,
     successors_of: Callable[[object], Iterable[Tuple[object, object]]],
     budget: int,
-) -> Tuple[SearchStatus, Optional[List[object]], SearchStats]:
+) -> Tuple[SearchStatus, Optional[DerivationTrace], SearchStats]:
     """BFS reachability from start to goal; steps come from successors_of."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if start == goal:
-        return SearchStatus.PROVEN, [], SearchStats(0, 0, 0)
+        return SearchStatus.PROVEN, DerivationTrace(start, (), goal), SearchStats(0, 0, 0)
     visited = {start: None}
     frontier = deque([(start, 0)])
     expanded = 0
@@ -76,7 +103,7 @@ def forward_search(
             if nxt == goal:
                 return (
                     SearchStatus.PROVEN,
-                    _walk_back(visited, nxt),
+                    DerivationTrace(start, tuple(_walk_back(visited, nxt)), goal),
                     SearchStats(expanded, peak, max_depth),
                 )
             frontier.append((nxt, depth + 1))
@@ -85,6 +112,7 @@ def forward_search(
 
 
 def _walk_back(visited, state) -> List[object]:
+    """The steps recorded in visited on the way from the root to state."""
     steps = []
     while visited[state] is not None:
         state, step = visited[state]
@@ -100,7 +128,7 @@ def class_search(
     reverse_step: Callable[[object], object],
     sort_key: Callable[[object], object],
     budget: int,
-) -> Tuple[SearchStatus, Optional[List[object]], SearchStats]:
+) -> Tuple[SearchStatus, Optional[DerivationTrace], SearchStats]:
     """Bidirectional BFS over the class of a symmetric rewrite relation.
 
     successors_of must enumerate one-step neighbours deterministically;
@@ -111,7 +139,7 @@ def class_search(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if start == goal:
-        return SearchStatus.PROVEN, [], SearchStats(0, 0, 0)
+        return SearchStatus.PROVEN, DerivationTrace(start, (), goal), SearchStats(0, 0, 0)
     swapped = sort_key(goal) < sort_key(start)
     a, b = (goal, start) if swapped else (start, goal)
 
@@ -155,12 +183,8 @@ def class_search(
     if meet is None:
         return SearchStatus.REFUTED_EXHAUSTED, None, stats
 
-    steps = _walk_back(visited_a, meet)  # a -> meet
-    state = meet  # meet -> b
-    while visited_b[state] is not None:
-        parent, step = visited_b[state]
-        steps.append(step)
-        state = parent
+    # a -> meet, then meet -> b (visited_b records that half from b's end)
+    steps = _walk_back(visited_a, meet) + _walk_back(visited_b, meet)[::-1]
     if swapped:
         steps = [reverse_step(s) for s in reversed(steps)]
-    return SearchStatus.PROVEN, steps, stats
+    return SearchStatus.PROVEN, DerivationTrace(start, tuple(steps), goal), stats

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .search import SearchOutcome, SearchStatus, class_search
+from .search import DerivationTrace, SearchOutcome, class_search, replay
 from .words import declarations
 
 
@@ -54,13 +54,6 @@ class TreeStep:
     def reversed(self) -> "TreeStep":
         other = REVERSE if self.direction == FORWARD else FORWARD
         return TreeStep(self.rule, other, self.path)
-
-
-@dataclass(frozen=True)
-class TreeDerivationTrace:
-    start: Term
-    steps: Tuple[TreeStep, ...]
-    end: Term
 
 
 def term_size(t: Term) -> int:
@@ -148,14 +141,27 @@ def replace_at(t: Term, path: str, replacement: Term) -> Term:
     raise ValueError(f"path direction must be L or R, got {path[0]!r}")
 
 
+def _sides(rule: TreeRule, direction: str) -> Tuple[Term, Term]:
+    """(matched side, replacing side) of rule applied in direction."""
+    if direction == FORWARD:
+        return rule.lhs, rule.rhs
+    if direction == REVERSE:
+        return rule.rhs, rule.lhs
+    raise ValueError(f"direction must be {FORWARD!r} or {REVERSE!r}")
+
+
+def _check_reversible(rules: List[TreeRule]) -> None:
+    for idx, rule in enumerate(rules):
+        if not rule.is_reversible():
+            raise ValueError(
+                f"rule {idx} cannot be applied in reverse: "
+                "its sides carry different variables"
+            )
+
+
 def apply_tree_rule(t: Term, rule: TreeRule, path: str, direction: str = FORWARD) -> Term:
     """Rewrite the subterm addressed by path; it must match the rule side."""
-    if direction == FORWARD:
-        src, dst = rule.lhs, rule.rhs
-    elif direction == REVERSE:
-        src, dst = rule.rhs, rule.lhs
-    else:
-        raise ValueError(f"direction must be {FORWARD!r} or {REVERSE!r}")
+    src, dst = _sides(rule, direction)
     subject = subterm_at(t, path)
     binding = match_subst(src, subject)
     if binding is None:
@@ -183,39 +189,35 @@ def tree_successors(t: Term, rules: List[TreeRule]) -> List[Tuple[Term, TreeStep
     results are deduplicated by term, keeping the first witness.  Every
     rule must carry the same variables on both sides.
     """
-    for idx, rule in enumerate(rules):
-        if not rule.is_reversible():
-            raise ValueError(
-                f"rule {idx} cannot be applied in reverse: "
-                "its sides carry different variables"
-            )
+    _check_reversible(rules)
+    oriented = [(idx, direction, *_sides(rule, direction))
+                for idx, rule in enumerate(rules) for direction in (FORWARD, REVERSE)]
     out = []
     seen = set()
     for path, subject in preorder_paths(t):
-        for idx, rule in enumerate(rules):
-            for direction in (FORWARD, REVERSE):
-                src, dst = (
-                    (rule.lhs, rule.rhs) if direction == FORWARD else (rule.rhs, rule.lhs)
-                )
-                binding = match_subst(src, subject)
-                if binding is None:
-                    continue
-                result = replace_at(t, path, substitute(dst, binding))
-                if result not in seen:
-                    seen.add(result)
-                    out.append((result, TreeStep(idx, direction, path)))
+        for idx, direction, src, dst in oriented:
+            binding = match_subst(src, subject)
+            if binding is None:
+                continue
+            result = replace_at(t, path, substitute(dst, binding))
+            if result not in seen:
+                seen.add(result)
+                out.append((result, TreeStep(idx, direction, path)))
     return out
 
 
-def replay_tree_trace(rules: List[TreeRule], trace: TreeDerivationTrace) -> Term:
-    t = trace.start
-    for step in trace.steps:
-        if not 0 <= step.rule < len(rules):
-            raise ValueError(f"step {step}: rule index out of range")
-        t = apply_tree_rule(t, rules[step.rule], step.path, step.direction)
-    if t != trace.end:
-        raise ValueError("trace does not end at the recorded term")
-    return t
+def apply_tree_step(t: Term, rules: List[TreeRule], step: TreeStep) -> Term:
+    """Apply one trace step; its rule index must name one of rules."""
+    if not 0 <= step.rule < len(rules):
+        raise ValueError(f"step {step}: rule index out of range")
+    return apply_tree_rule(t, rules[step.rule], step.path, step.direction)
+
+
+def replay_tree_trace(rules: List[TreeRule], trace: DerivationTrace) -> Term:
+    """Re-apply every step, checking matches; raises on any mismatch."""
+    for _ in replay(trace, lambda t, step: apply_tree_step(t, rules, step)):
+        pass
+    return trace.end
 
 
 def search_tree_equivalence(
@@ -227,25 +229,15 @@ def search_tree_equivalence(
     same variables on both sides (otherwise the reversed orientation
     would have unbound variables and infinitely many instances).
     """
-    for idx, rule in enumerate(rules):
-        if not rule.is_reversible():
-            raise ValueError(
-                f"rule {idx} is not reversible (variable mismatch between sides); "
-                "symmetric search requires equal variable sets"
-            )
-
-    status, steps, stats = class_search(
+    _check_reversible(rules)  # also when a == b, which expands nothing
+    return SearchOutcome(*class_search(
         a,
         b,
         lambda t: tree_successors(t, rules),
-        lambda step: step.reversed(),
+        TreeStep.reversed,
         lambda t: (term_size(t), format_term(t)),
         budget,
-    )
-    trace = None
-    if status is SearchStatus.PROVEN:
-        trace = TreeDerivationTrace(a, tuple(steps), b)
-    return SearchOutcome(status, trace, stats)
+    ))
 
 
 def format_term(t: Term) -> str:
@@ -320,7 +312,10 @@ def parse_tree_rules(text: str) -> List[TreeRule]:
     for lineno, key, value in declarations(text):
         if key != "rule":
             raise ValueError(f"line {lineno}: expected 'rule: lhs => rhs'")
-        rules.append(parse_tree_rule(value))
+        try:
+            rules.append(parse_tree_rule(value))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return rules
 
 

@@ -9,6 +9,8 @@ lowercase letter LETTERS[i] and its inverse as the uppercase letter, so
 The four text formats of the package (presentations, rewriting systems,
 machines, tree rules) are read through :func:`declarations`, and their
 alphabets are checked by :func:`alphabet_size` and :func:`check_letters`.
+Formatters name letters through :func:`spell`, which refuses an index
+that has no letter.
 
 All functions here are pure and operate on immutable tuples.
 """
@@ -43,10 +45,6 @@ def make_word(letters: Iterable[Tuple[int, int]]) -> Word:
             raise ValueError(f"generator index must be >= 0, got {index}")
         out.append(GenLetter(index, sign))
     return tuple(out)
-
-
-def gen(index: int) -> GenLetter:
-    return GenLetter(index, 1)
 
 
 def concat(*words: Word) -> Word:
@@ -132,13 +130,8 @@ def format_word(w: Word) -> str:
     """Textual form; the empty word renders as "1"."""
     if not w:
         return "1"
-    chars = []
-    for letter in w:
-        if letter.index >= len(LETTERS):
-            raise ValueError("text format only supports generator indices < 26")
-        c = LETTERS[letter.index]
-        chars.append(c if letter.sign > 0 else c.upper())
-    return "".join(chars)
+    names = spell([letter.index for letter in w])
+    return "".join([c if letter.sign > 0 else c.upper() for c, letter in zip(names, w)])
 
 
 def parse_word(text: str, n_gens: Optional[int] = None) -> Word:
@@ -170,6 +163,25 @@ def parse_word(text: str, n_gens: Optional[int] = None) -> Word:
 def commutator(a: Word, b: Word) -> Word:
     """a * b * a^-1 * b^-1, freely reduced."""
     return free_reduce(concat(a, b, invert(a), invert(b)))
+
+
+# spell goes through bytes.translate because TmEncoding.config_word spells
+# a whole tape on every simulated machine step.
+_SPELLING = bytes.maketrans(bytes(range(len(LETTERS))), LETTERS.encode("ascii"))
+
+
+def spell(indices: Iterable[int]) -> str:
+    """The letters with these 0-based indices.  The text formats name only
+    the 26 letters of LETTERS, so any other index is an error."""
+    indices = tuple(indices)
+    try:
+        codes = bytes(indices)  # one byte per index; refuses one outside 0..255
+    except ValueError:
+        codes = bytes([255])
+    if max(codes, default=0) >= len(LETTERS):
+        bad = next(i for i in indices if not 0 <= i < len(LETTERS))
+        raise ValueError(f"letter index {bad} outside the {len(LETTERS)} text letters")
+    return codes.translate(_SPELLING).decode("ascii")
 
 
 def declarations(text: str) -> Iterator[Tuple[int, str, str]]:

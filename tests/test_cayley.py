@@ -204,3 +204,9 @@ class TestExport:
 
     def test_tgf_stable(self):
         assert to_tgf(D5) == to_tgf(to_cayley_graph(todd_coxeter(catalog("dihedral5"), 64)))
+
+
+def test_tgf_refuses_more_than_26_generators():
+    assert to_tgf(CayleyGraph(26, ((0,) * 52,))).endswith("0 0 z\n")
+    with pytest.raises(ValueError, match="outside the 26 text letters"):
+        to_tgf(CayleyGraph(27, ((0,) * 54,)))

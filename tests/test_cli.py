@@ -212,6 +212,24 @@ class TestErrors:
         path.write_text("states: 1\nsymbols: " + " ".join("abcdefghijklmnopqrstuvwxyz{") + "\n")
         self.assert_one_error_line(run("tm-run", "--machine", str(path), "--input", "{{"))
 
+    def test_relator_error_names_its_line(self, tmp_path):
+        path = tmp_path / "pres.txt"
+        path.write_text("gens: a b\nrel: abc\n")
+        result = run("dehn-solve", "--presentation", str(path), "ab")
+        self.assert_one_error_line(result)
+        assert result.stderr == (
+            "wordproblem: error: line 2: letter 'c' out of range for 2 generators\n"
+        )
+
+    def test_tree_rule_error_names_its_line(self, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text("# broken\nrule: (A B C) => A\n")
+        result = run("tree-equiv", "--rules", str(path), "--from", "A", "--to", "B")
+        self.assert_one_error_line(result)
+        assert result.stderr == (
+            "wordproblem: error: line 2: a node must have exactly two children\n"
+        )
+
 
 class TestGoldenDeterminism:
     INVOCATIONS = [

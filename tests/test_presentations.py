@@ -280,3 +280,24 @@ class TestTextFormat:
     def test_equation_letter_outside_alphabet(self):
         with pytest.raises(ValueError, match="^letter 'c' outside alphabet of size 2$"):
             parse_presentation("gens: a b\neq: ab = c\n")
+
+
+def test_format_refuses_more_than_26_generators():
+    assert format_presentation(GroupPresentation(26, ())).startswith("gens: a b")
+    with pytest.raises(ValueError, match="outside the 26 text letters"):
+        format_presentation(GroupPresentation(30, ()))
+    with pytest.raises(ValueError, match="outside the 26 text letters"):
+        format_presentation(SemigroupPresentation(27, ()))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("gens: a b\nrel: abc\n", "line 2: letter 'c' out of range for 2 generators"),
+        ("gens: a\n\nrel: aa\nrel: a1\n", "line 4: invalid character '1' in word 'a1'"),
+    ],
+)
+def test_relator_errors_name_their_line(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_presentation(text)
+    assert str(info.value) == message

@@ -193,3 +193,17 @@ def test_machine_errors_name_their_line(text, message):
     with pytest.raises(ValueError) as info:
         parse_machine(text)
     assert str(info.value) == message
+
+
+def test_formatters_refuse_indices_without_a_letter():
+    assert format_machine(TuringMachine(1, 26)).splitlines()[1].endswith(" y z")
+    with pytest.raises(ValueError, match="outside the 26 text letters"):
+        format_machine(TuringMachine(1, 27))
+    with pytest.raises(ValueError, match="outside the 26 text letters"):
+        format_tape((30,))
+    with pytest.raises(ValueError, match="outside the 26 text letters"):
+        format_tape((0, -1))
+    enc = encode(tm_catalog("unary_appender"))
+    assert enc.config_word(Configuration((1,), 0, 0, (1,))) == "ebcabf"
+    with pytest.raises(ValueError, match="outside the 26 text letters"):
+        enc.config_word(Configuration((), 0, 30, ()))

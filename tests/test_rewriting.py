@@ -92,7 +92,35 @@ class TestSuccessors:
         assert successors("aa", sys) == [("ba", 0, 0), ("b", 1, 0), ("ab", 0, 1)]
 
 
+def oracle_thue_closure(sys):
+    """The original loop: first occurrences of the rules, then each missing
+    swap in the order of the rules it swaps."""
+    rules = []
+    seen = set()
+    for rule in sys.rules:
+        if rule not in seen:
+            seen.add(rule)
+            rules.append(rule)
+    for lhs, rhs in list(rules):
+        if (rhs, lhs) not in seen:
+            seen.add((rhs, lhs))
+            rules.append((rhs, lhs))
+    return RewriteSystem(sys.alphabet_size, tuple(rules), SystemKind.THUE)
+
+
 class TestThueClosure:
+    def test_matches_oracle_with_duplicates_and_swaps(self):
+        rng = random.Random(61)
+        sides = ["a", "b", "aa", "ab", "ba", "bb"]
+        for _ in range(2000):
+            pool = [(rng.choice(sides), rng.choice(sides)) for _ in range(rng.randint(1, 4))]
+            rules = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            for _ in range(rng.randint(0, 2)):
+                lhs, rhs = rng.choice(rules)
+                rules.insert(rng.randint(0, len(rules)), (rhs, lhs))
+            sys = RewriteSystem(2, tuple(rules))
+            assert thue_closure(sys) == oracle_thue_closure(sys)
+
     def test_single_swap(self):
         sys = RewriteSystem(3, (("ab", "c"),))
         closed = thue_closure(sys)
@@ -194,6 +222,19 @@ class TestSearchEquivalence:
 
 
 class TestReplay:
+    def test_ceijtin_random_walks_replay(self):
+        # the meeting point of the class search is often two or more steps
+        # from the target, so the target-side half of each trace is checked
+        rng = random.Random(71)
+        for _ in range(120):
+            start = target = "".join(rng.choice("abcde") for _ in range(5))
+            for _ in range(rng.randint(1, 8)):
+                target = rng.choice(successors(target, CEIJTIN) or [(target,)])[0]
+            outcome = search_equivalence(start, target, CEIJTIN, 3000)
+            assert outcome.status is SearchStatus.PROVEN
+            assert (outcome.trace.start, outcome.trace.end) == (start, target)
+            assert replay_trace(CEIJTIN, outcome.trace) == target
+
     def test_replay_checks_occurrences(self):
         trace = DerivationTrace("ac", ((0, 1),), "ca")
         with pytest.raises(ValueError):

@@ -4,18 +4,22 @@ from collections import Counter
 import pytest
 
 from wordproblem.rewriting import RewriteSystem, search_equivalence, thue_closure
-from wordproblem.search import SearchStatus
+from wordproblem.search import DerivationTrace, SearchStatus
 from wordproblem.terms import (
     ASSOCIATIVITY,
+    FORWARD,
     REVERSE,
     Leaf,
     Node,
     TreeRule,
+    TreeStep,
     apply_tree_rule,
+    apply_tree_step,
     format_term,
     match_subst,
     parse_term,
     parse_tree_rule,
+    parse_tree_rules,
     preorder_paths,
     replay_tree_trace,
     search_tree_equivalence,
@@ -281,3 +285,60 @@ class TestSuccessorsDeterminism:
 def preorder_rank(t, path):
     order = [p for p, _ in preorder_paths(t)]
     return order.index(path)
+
+
+COLLAPSE = TreeRule(Node(Leaf("?x"), Leaf("?y")), Leaf("?x"))
+
+
+class TestDerivationTraces:
+    def test_swapped_pair_keeps_its_orientation(self):
+        # the right comb sorts after the left one, so the search runs from b
+        a, b = parse_term("(A (B (C D)))"), parse_term("(((A B) C) D)")
+        assert (term_size(b), format_term(b)) < (term_size(a), format_term(a))
+        outcome = search_tree_equivalence(a, b, [ASSOCIATIVITY], 100)
+        assert outcome.status is SearchStatus.PROVEN
+        assert (outcome.trace.start, outcome.trace.end) == (a, b)
+        assert replay_tree_trace([ASSOCIATIVITY], outcome.trace) == b
+
+    def test_non_reversible_rule_rejected_between_equal_terms(self):
+        with pytest.raises(ValueError, match="^rule 0 cannot be applied in reverse"):
+            search_tree_equivalence(A, A, [COLLAPSE], 10)
+
+    def test_search_and_successors_share_the_message(self):
+        with pytest.raises(ValueError, match="^rule 1 cannot be applied in reverse"):
+            search_tree_equivalence(A, B, [ASSOCIATIVITY, COLLAPSE], 10)
+
+    def test_apply_tree_step(self):
+        t = parse_term("((A B) C)")
+        assert apply_tree_step(t, [ASSOCIATIVITY], TreeStep(0, FORWARD, "")) == Node(
+            A, Node(B, C)
+        )
+        with pytest.raises(ValueError, match="rule index out of range"):
+            apply_tree_step(t, [ASSOCIATIVITY], TreeStep(1, FORWARD, ""))
+
+    def test_replay_checks_end(self):
+        t = parse_term("((A B) C)")
+        trace = DerivationTrace(t, (TreeStep(0, FORWARD, ""),), t)
+        with pytest.raises(ValueError, match="^trace ends at "):
+            replay_tree_trace([ASSOCIATIVITY], trace)
+        with pytest.raises(ValueError, match="^trace ends at "):
+            replay_tree_trace([ASSOCIATIVITY], DerivationTrace(t, (), A))
+
+    def test_replay_checks_matches(self):
+        trace = DerivationTrace(Node(A, B), (TreeStep(0, FORWARD, ""),), A)
+        with pytest.raises(ValueError, match="does not match"):
+            replay_tree_trace([ASSOCIATIVITY], trace)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("rule: (A B C) => A\n", "line 1: a node must have exactly two children"),
+        ("# assoc\n\nrule: (A ?x) => (A ?y)\n", "line 3: right side introduces"),
+        ("rule: A => B\nrule: A B\n", "line 2: expected 'lhs => rhs'"),
+    ],
+)
+def test_rule_errors_name_their_line(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_tree_rules(text)
+    assert str(info.value).startswith(message)

@@ -19,6 +19,7 @@ from wordproblem.words import (
     is_freely_reduced,
     make_word,
     parse_word,
+    spell,
 )
 
 
@@ -187,3 +188,21 @@ class TestCheckLetters:
             check_letters("abdxA", 3)
         with pytest.raises(ValueError, match="^letter '{' outside alphabet of size 26$"):
             check_letters("z{", 26)
+
+
+class TestSpell:
+    def test_names_letters_by_index(self):
+        assert spell((0, 2, 25)) == "acz"
+        assert spell(range(26)) == LETTERS
+        assert spell(()) == ""
+
+    def test_index_without_a_letter(self):
+        for indices, bad in (((26,), 26), ((0, 30, 1), 30), ((-1,), -1), ((2, 300), 300)):
+            with pytest.raises(ValueError, match=f"^letter index {bad} outside the 26 text"):
+                spell(indices)
+
+    def test_format_word_uses_it(self):
+        assert format_word((GenLetter(25, -1), GenLetter(0, 1))) == "Za"
+        for index in (26, -1):
+            with pytest.raises(ValueError, match="outside the 26 text letters"):
+                format_word((GenLetter(index, 1),))
