@@ -11,12 +11,15 @@ construction completed, 2 when a budget ran out before a decision
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import sys
 from fractions import Fraction
 
 from . import cayley, dehn, presentations, reductions, rewriting, sequences, terms
 from .search import DerivationTrace, SearchStatus, replay
-from .words import LETTERS, cyclic_reduce, format_word, free_reduce, parse_word
+from .words import (LETTERS, cyclic_reduce, format_plain, format_word, free_reduce,
+                    parse_plain, parse_word)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -30,18 +33,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
-def _emit(args, human: str, machine: str):
-    print(machine if args.format == "lines" else human)
+# Human wordings of the row keys that do not read 'key: field ...'.
+_HUMAN = {
+    "step": "step: relator {} at {} replacing {}".format,
+    "ratio": "max piece ratio: {}".format,
+    "smallcancel": "C'({}): {}".format,
+    "stats": "stats: expanded={} frontier-peak={} depth={}".format,
+    "powerfree": lambda k, verdict, *block: f"power-free k={k}: {verdict}" + (
+        " (block of length {1} at {0})".format(*block) if block else ""),
+}
 
 
-def _show(args, key: str, value):
-    """One 'key: value' line, or 'key value' in the lines format."""
-    _emit(args, f"{key}: {value}", f"{key} {value}")
-
-
-def _word_arg(text: str) -> str:
-    """A string-rewriting word from the command line; '1' is the empty word."""
-    return "" if text == "1" else text
+def _show(args, key: str, *fields):
+    """One output row: 'key field ...' in the lines format; in the human
+    one 'key: field ...', or the key's wording in _HUMAN."""
+    if args.format == "lines":
+        print(key, *fields)
+    elif key in _HUMAN:
+        print(_HUMAN[key](*fields))
+    else:
+        print(f"{key}:", *fields)
 
 
 def _read(path: str) -> str:
@@ -49,48 +60,53 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _source(args, named, parse):
+    """The object --preset names, or the one parsed from the file option."""
+    if args.file:
+        return parse(_read(args.file))
+    return named(args.preset)
+
+
+def _catalog_entry(args, name: str) -> presentations.Presentation:
+    params = {}
+    for _, param in presentations.CATALOG.values():
+        value = getattr(args, param) if param else None
+        if isinstance(value, str):  # a comma list
+            value = tuple(int(e) for e in value.split(","))
+        if value is not None:
+            params[param] = value
+    return presentations.catalog(name, **params)
+
+
 def _group_presentation(args) -> presentations.GroupPresentation:
-    if args.presentation:
-        p = presentations.parse_presentation(_read(args.presentation))
-    else:
-        p = _catalog_entry(args.preset, args)
+    named = functools.partial(_catalog_entry, args)
+    p = _source(args, named, presentations.parse_presentation)
     if not isinstance(p, presentations.GroupPresentation):
         raise ValueError("this command needs a group presentation")
     return p
 
 
-def _catalog_entry(name: str, args):
-    params = {}
-    if args.genus is not None:
-        params["genus"] = args.genus
-    if args.rank is not None:
-        params["rank"] = args.rank
-    if args.exponents is not None:
-        params["exponents"] = tuple(int(e) for e in args.exponents.split(","))
-    return presentations.catalog(name, **params)
-
-
 def _add_source(sub, names, file_flag: str):
     group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=names)
-    group.add_argument(file_flag, metavar="FILE")
+    group.add_argument("--preset", choices=tuple(names))
+    group.add_argument(file_flag, dest="file", metavar="FILE")
 
 
 def _add_catalog_params(sub):
-    sub.add_argument("--genus", type=int, help="parameter for the surface preset")
-    sub.add_argument("--rank", type=int, help="parameter for the free_abelian preset")
-    sub.add_argument("--exponents", help="comma list for the higman_truncated preset")
+    """One option per catalog parameter, typed like the builder's default:
+    an int, or a tuple given as a comma list."""
+    for name, (build, param) in presentations.CATALOG.items():
+        if param is None:
+            continue
+        if isinstance(inspect.signature(build).parameters[param].default, tuple):
+            sub.add_argument(f"--{param}", help=f"comma list for the {name} preset")
+        else:
+            sub.add_argument(f"--{param}", type=int, help=f"parameter for the {name} preset")
 
 
 def _add_presentation_args(sub):
-    _add_source(sub, presentations.CATALOG_NAMES, "--presentation")
+    _add_source(sub, presentations.CATALOG, "--presentation")
     _add_catalog_params(sub)
-
-
-def _machine(args) -> reductions.TuringMachine:
-    if args.machine:
-        return reductions.parse_machine(_read(args.machine))
-    return reductions.tm_catalog(args.preset)
 
 
 def cmd_reduce(args) -> int:
@@ -109,11 +125,7 @@ def cmd_dehn_solve(args) -> int:
     outcome = dehn.dehn_solve(w, p)
     _show(args, "verdict", outcome.verdict.value)
     for step in outcome.trace:
-        _emit(
-            args,
-            f"step: relator {step.relator} at {step.pos} replacing {step.replaced}",
-            f"step {step.relator} {step.pos} {step.replaced}",
-        )
+        _show(args, "step", step.relator, step.pos, step.replaced)
     _show(args, "final", format_word(outcome.final_word))
     return EXIT_UNDECIDED if outcome.verdict is dehn.Verdict.INCONCLUSIVE else EXIT_OK
 
@@ -128,14 +140,14 @@ def cmd_small_cancel(args) -> int:
         raise ValueError("presentation has no relators")
     ratio = presentations.max_piece_ratio(presentations.symmetrize(p))
     verdict = "holds" if ratio < lam else "fails"
-    _emit(args, f"max piece ratio: {ratio}", f"ratio {ratio}")
-    _emit(args, f"C'({lam}): {verdict}", f"smallcancel {lam} {verdict}")
+    _show(args, "ratio", ratio)
+    _show(args, "smallcancel", lam, verdict)
     return EXIT_OK
 
 
 def _print_string_trace(sys_, trace: DerivationTrace):
     for (idx, pos), w in replay(trace, lambda w, step: rewriting.apply_rule(w, sys_, *step)):
-        print(f"step {idx} @{pos} => {w or '1'}")
+        print(f"step {idx} @{pos} => {format_plain(w)}")
 
 
 def _print_tree_trace(rules, trace: DerivationTrace):
@@ -151,26 +163,22 @@ def _search_result(args, outcome, print_trace) -> int:
     if outcome.trace is not None:
         print_trace(outcome.trace)
     s = outcome.stats
-    _emit(
-        args,
-        f"stats: expanded={s.expanded} frontier-peak={s.frontier_peak} depth={s.depth}",
-        f"stats {s.expanded} {s.frontier_peak} {s.depth}",
-    )
+    _show(args, "stats", s.expanded, s.frontier_peak, s.depth)
     return EXIT_UNDECIDED if outcome.status is SearchStatus.BUDGET_EXHAUSTED else EXIT_OK
 
 
 def cmd_rewrite(args) -> int:
     sys_ = rewriting.parse_system(_read(args.sys))
-    trace = rewriting.rewrite_bounded(_word_arg(args.word), sys_, args.max_steps)
+    trace = rewriting.rewrite_bounded(parse_plain(args.word), sys_, args.max_steps)
     _print_string_trace(sys_, trace)
-    _show(args, "final", trace.end or "1")
+    _show(args, "final", format_plain(trace.end))
     return EXIT_OK
 
 
 def cmd_equiv(args) -> int:
     sys_ = rewriting.parse_system(_read(args.sys))
-    w1 = _word_arg(getattr(args, "from"))
-    outcome = rewriting.search_equivalence(w1, _word_arg(args.to), sys_, args.budget)
+    w1 = parse_plain(getattr(args, "from"))
+    outcome = rewriting.search_equivalence(w1, parse_plain(args.to), sys_, args.budget)
     return _search_result(args, outcome, lambda trace: _print_string_trace(sys_, trace))
 
 
@@ -190,19 +198,7 @@ def cmd_seq(args) -> int:
     _show(args, "word", word)
     if args.check is not None:
         ok, witness = sequences.is_power_free(word, args.check)
-        if ok:
-            _emit(
-                args,
-                f"power-free k={args.check}: true",
-                f"powerfree {args.check} true",
-            )
-        else:
-            pos, length = witness
-            _emit(
-                args,
-                f"power-free k={args.check}: false (block of length {length} at {pos})",
-                f"powerfree {args.check} false {pos} {length}",
-            )
+        _show(args, "powerfree", args.check, "true" if ok else "false", *(witness or ()))
     return EXIT_OK
 
 
@@ -226,18 +222,18 @@ def cmd_cayley(args) -> int:
 
 
 def cmd_tm_run(args) -> int:
-    m = _machine(args)
+    m = _source(args, reductions.tm_catalog, reductions.parse_machine)
     tape = reductions.parse_tape(args.input, m)
     result = reductions.tm_run(m, tape, args.max_steps)
     _show(args, "status", "halted" if result.halted else "running")
     _show(args, "steps", result.steps)
     visible = reductions.format_tape(result.config.tape()).strip(LETTERS[reductions.BLANK])
-    _show(args, "tape", visible or "1")
+    _show(args, "tape", format_plain(visible))
     return EXIT_OK if result.halted else EXIT_UNDECIDED
 
 
 def cmd_tm_encode(args) -> int:
-    m = _machine(args)
+    m = _source(args, reductions.tm_catalog, reductions.parse_machine)
     enc = reductions.encode(m)
     print(f"# halt-word: {enc.halt_word}")
     if args.input is not None:
@@ -248,7 +244,7 @@ def cmd_tm_encode(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    p = _catalog_entry(args.name, args)
+    p = _catalog_entry(args, args.name)
     if args.rewrite:
         if not isinstance(p, presentations.SemigroupPresentation):
             raise ValueError("--rewrite only applies to semigroup presentations")
@@ -310,12 +306,12 @@ def build_parser() -> _Parser:
     sub.add_argument("--tgf", action="store_true", help="print the graph in TGF")
 
     sub = add("tm-run", cmd_tm_run, help="simulate a Turing machine")
-    _add_source(sub, reductions.TM_CATALOG_NAMES, "--machine")
+    _add_source(sub, reductions.TM_CATALOG, "--machine")
     sub.add_argument("--input", default="1")
     sub.add_argument("--max-steps", type=int, default=1000)
 
     sub = add("tm-encode", cmd_tm_encode, help="emit the rewriting system of a machine")
-    _add_source(sub, reductions.TM_CATALOG_NAMES, "--machine")
+    _add_source(sub, reductions.TM_CATALOG, "--machine")
     sub.add_argument("--input", help="also print the start word for this tape")
 
     sub = add("catalog", cmd_catalog, help="print a named presentation")
@@ -328,20 +324,27 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on first use; importing the module builds none."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_ERROR
         return code
     except (ValueError, OSError) as exc:
-        print(f"wordproblem: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        message = exc
     except RecursionError:
-        print("wordproblem: error: input nested too deeply", file=sys.stderr)
-        return EXIT_ERROR
+        message = "input nested too deeply"
+    except MemoryError:
+        message = "out of memory"
+    print(f"wordproblem: error: {message}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ Text format, read by :func:`wordproblem.words.declarations`:
 
     gens: a b c          the generators
     rel: abAB            one relator per line (group presentations)
-    eq: ac = ca          one equation per line (semigroup presentations)
+    eq: ac = ca          one equation per line (semigroup presentations);
+                         both sides are nonempty words
 
 A file may contain 'rel:' lines or 'eq:' lines, not both.
 """
@@ -35,6 +36,7 @@ from .words import (
     invert,
     is_cyclically_reduced,
     make_word,
+    parse_plain,
     parse_word,
     spell,
 )
@@ -87,6 +89,12 @@ class SymmetrizedRelators:
                     raise ValueError(f"{format_word(w)} is not cyclically reduced")
 
 
+def _semigroup_word(text: str, size: int) -> str:
+    if not text:
+        raise ValueError("empty equation side (a semigroup word is nonempty)")
+    return check_letters(text, size)
+
+
 @dataclass(frozen=True)
 class SemigroupPresentation:
     """Positive-word equations over a finite alphabet.
@@ -102,7 +110,8 @@ class SemigroupPresentation:
         if self.alphabet_size < 1:
             raise ValueError("alphabet must be nonempty")
         for lhs, rhs in self.equations:
-            check_letters(lhs + rhs, self.alphabet_size)
+            _semigroup_word(lhs, self.alphabet_size)
+            _semigroup_word(rhs, self.alphabet_size)
 
     def trivial_equations(self) -> list[int]:
         return [i for i, (g, h) in enumerate(self.equations) if g == h]
@@ -163,7 +172,7 @@ def _w(text: str) -> Word:
     return parse_word(text)
 
 
-def surface_presentation(genus: int) -> GroupPresentation:
+def surface_presentation(genus: int = 2) -> GroupPresentation:
     """Orientable surface group: 2g generators, one relator of length 4g
     (the product of the g commutators [a_i, b_i])."""
     if genus < 1:
@@ -175,7 +184,7 @@ def surface_presentation(genus: int) -> GroupPresentation:
     return GroupPresentation(2 * genus, (make_word(relator),))
 
 
-def free_abelian_presentation(rank: int) -> GroupPresentation:
+def free_abelian_presentation(rank: int = 2) -> GroupPresentation:
     """Z^rank: all pairwise commutators as relators."""
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -186,7 +195,7 @@ def free_abelian_presentation(rank: int) -> GroupPresentation:
     return GroupPresentation(rank, tuple(relators))
 
 
-def higman_truncated_presentation(exponents) -> GroupPresentation:
+def higman_truncated_presentation(exponents=(1,)) -> GroupPresentation:
     """Four generators a,b,c,d with a^-e b a^e = c^-e d c^e for each given e.
 
     The defining exponent set is an explicit finite truncation supplied
@@ -221,47 +230,35 @@ def ceijtin_presentation() -> SemigroupPresentation:
     return SemigroupPresentation(5, equations)
 
 
-_PARAMETRIZED_CATALOG = {
-    # name -> (parameter, default, builder)
-    "surface": ("genus", 2, surface_presentation),
-    "free_abelian": ("rank", 2, free_abelian_presentation),
-    "higman_truncated": ("exponents", (1,), higman_truncated_presentation),
-}
-
-_FIXED_CATALOG = {
+CATALOG = {
+    # name -> (builder, the one parameter it takes or None); defaults are
+    # the builders' own
+    "surface": (surface_presentation, "genus"),
+    "torus": (lambda: GroupPresentation(2, (_w("abAB"),)), None),
     # dihedral group of order 10: sigma^5, tau^2, and tau*sigma*tau*sigma
     # (the relator form of tau*sigma = sigma^-1*tau)
-    "dihedral5": lambda: GroupPresentation(2, (_w("aaaaa"), _w("bb"), _w("baba"))),
-    "torus": lambda: GroupPresentation(2, (_w("abAB"),)),
+    "dihedral5": (lambda: GroupPresentation(2, (_w("aaaaa"), _w("bb"), _w("baba"))), None),
+    "free_abelian": (free_abelian_presentation, "rank"),
     # catalog convention: trefoil knot group as <x,y | x^2 y^-3>
-    "trefoil": lambda: GroupPresentation(2, (_w("aaBBB"),)),
-    "ceijtin": ceijtin_presentation,
+    "trefoil": (lambda: GroupPresentation(2, (_w("aaBBB"),)), None),
+    "higman_truncated": (higman_truncated_presentation, "exponents"),
+    "ceijtin": (ceijtin_presentation, None),
 }
-
-CATALOG_NAMES = ("surface", "torus", "dihedral5", "free_abelian", "trefoil",
-                 "higman_truncated", "ceijtin")
 
 
 def catalog(name: str, **params) -> Presentation:
-    """Named presentations.
-
-    surface(genus=g), free_abelian(rank=n) and higman_truncated(exponents=E)
-    take parameters; the rest take none.  A parameter the entry does not
-    take is an error.
-    """
-    if name in _PARAMETRIZED_CATALOG:
-        key, default, build = _PARAMETRIZED_CATALOG[name]
-        value = params.pop(key, default)
-        if params:
-            raise ValueError(
-                f"catalog entry {name!r} takes only {key}, not {', '.join(sorted(params))}"
-            )
-        return build(value)
-    if name in _FIXED_CATALOG:
-        if params:
-            raise ValueError(f"catalog entry {name!r} takes no parameters")
-        return _FIXED_CATALOG[name]()
-    raise ValueError(f"unknown catalog entry {name!r}; known: {', '.join(CATALOG_NAMES)}")
+    """The presentation of that name in :data:`CATALOG`, built with the
+    given parameter if any; a parameter the entry does not take is an
+    error."""
+    if name not in CATALOG:
+        raise ValueError(f"unknown catalog entry {name!r}; known: {', '.join(CATALOG)}")
+    build, param = CATALOG[name]
+    extra = sorted(set(params) - {param})
+    if extra and param is None:
+        raise ValueError(f"catalog entry {name!r} takes no parameters")
+    if extra:
+        raise ValueError(f"catalog entry {name!r} takes only {param}, not {', '.join(extra)}")
+    return build(**params)
 
 
 def _gens_line(n: int) -> str:
@@ -281,6 +278,14 @@ def format_presentation(p: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _equation(value: str, size: int) -> Tuple[str, str]:
+    """The two checked sides of the value of an 'eq:' line."""
+    sides = [parse_plain(side.strip()) for side in value.split("=")]
+    if len(sides) != 2:
+        raise ValueError("expected 'eq: g = h'")
+    return _semigroup_word(sides[0], size), _semigroup_word(sides[1], size)
+
+
 def parse_presentation(text: str) -> Presentation:
     """Parse the text format; rejects letters not declared on the gens line."""
     n_gens = None
@@ -293,16 +298,14 @@ def parse_presentation(text: str) -> Presentation:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         elif n_gens is None:
             raise ValueError(f"line {lineno}: '{key}:' before 'gens:'")
-        elif key == "rel":
+        else:
             try:
-                relators.append(parse_word(value, n_gens))
+                if key == "rel":
+                    relators.append(parse_word(value, n_gens))
+                else:
+                    equations.append(_equation(value, n_gens))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-        else:
-            sides = [s.strip() for s in value.split("=")]
-            if len(sides) != 2:
-                raise ValueError(f"line {lineno}: expected 'eq: g = h'")
-            equations.append((sides[0], sides[1]))
     if n_gens is None:
         raise ValueError("missing 'gens:' line")
     if relators and equations:

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .rewriting import RewriteSystem, SystemKind, successors
-from .words import LETTERS, alphabet_size, check_letters, declarations, spell
+from .words import (LETTERS, alphabet_size, check_letters, declarations, format_plain,
+                    parse_plain, spell)
 
 Move = str  # "L" or "R"
 Transition = Tuple[int, int, Move]  # new state, written symbol, move
@@ -225,23 +226,20 @@ def verify_simulation(m: TuringMachine, tape: Tuple[int, ...], k: int) -> bool:
     return True
 
 
-TM_CATALOG_NAMES = ("no_transition", "unary_appender", "loop_right")
+TM_CATALOG = {
+    # name -> builder; small reference machines used in tests and from the CLI
+    "no_transition": lambda: TuringMachine(1, 2, {}),
+    # skip right over marks, write one more mark on the first blank, halt
+    "unary_appender": lambda: TuringMachine(2, 2, {(0, 1): (0, 1, "R"), (0, 0): (1, 1, "R")}),
+    "loop_right": lambda: TuringMachine(1, 2, {(0, 0): (0, 0, "R"), (0, 1): (0, 1, "R")}),
+}
 
 
 def tm_catalog(name: str) -> TuringMachine:
-    """Small reference machines used in tests and from the CLI."""
-    if name == "no_transition":
-        return TuringMachine(1, 2, {})
-    if name == "unary_appender":
-        # skip right over marks, write one more mark on the first blank, halt
-        return TuringMachine(
-            2, 2, {(0, 1): (0, 1, "R"), (0, 0): (1, 1, "R")}
-        )
-    if name == "loop_right":
-        return TuringMachine(1, 2, {(0, 0): (0, 0, "R"), (0, 1): (0, 1, "R")})
-    raise ValueError(
-        f"unknown machine {name!r}; known: {', '.join(TM_CATALOG_NAMES)}"
-    )
+    """The machine of that name in :data:`TM_CATALOG`."""
+    if name not in TM_CATALOG:
+        raise ValueError(f"unknown machine {name!r}; known: {', '.join(TM_CATALOG)}")
+    return TM_CATALOG[name]()
 
 
 def format_machine(m: TuringMachine) -> str:
@@ -277,6 +275,8 @@ def parse_machine(text: str) -> TuringMachine:
                 raise ValueError(
                     f"line {lineno}: expected a number of states, got {value!r}"
                 ) from None
+            if n_states < 1:
+                raise ValueError(f"line {lineno}: need at least one state, got {n_states}")
         elif key == "symbols":
             n_symbols = alphabet_size(value, lineno)
         elif key == "start":
@@ -311,13 +311,9 @@ def parse_machine(text: str) -> TuringMachine:
 
 def parse_tape(text: str, m: TuringMachine) -> Tuple[int, ...]:
     """Tape words use the same letters as the 'symbols:' line."""
-    text = text.strip()
-    if text in ("", "1"):
-        return ()
-    return tuple(LETTERS.index(c) for c in check_letters(text, m.n_symbols))
+    text = check_letters(parse_plain(text.strip()), m.n_symbols)
+    return tuple(LETTERS.index(c) for c in text)
 
 
 def format_tape(tape: Tuple[int, ...]) -> str:
-    if not tape:
-        return "1"
-    return spell(tape)
+    return format_plain(spell(tape))

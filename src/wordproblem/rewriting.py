@@ -25,7 +25,8 @@ from typing import List, Tuple
 
 from .presentations import SemigroupPresentation
 from .search import DerivationTrace, SearchOutcome, class_search, forward_search, replay
-from .words import LETTERS, alphabet_size, check_letters, declarations
+from .words import (LETTERS, alphabet_size, check_letters, declarations, format_plain,
+                    parse_plain)
 
 
 class SystemKind(enum.Enum):
@@ -58,7 +59,7 @@ class RewriteSystem:
 def apply_rule(w: str, sys: RewriteSystem, rule_index: int, pos: int) -> str:
     """Rewrite w at pos with the given rule; the lhs must occur there."""
     if not 0 <= rule_index < len(sys.rules):
-        raise IndexError(f"rule index {rule_index} out of range")
+        raise ValueError(f"rule index {rule_index} out of range")
     lhs, rhs = sys.rules[rule_index]
     if w[pos : pos + len(lhs)] != lhs or pos < 0:
         raise ValueError(f"rule {rule_index} lhs {lhs!r} does not occur at {pos} in {w!r}")
@@ -167,7 +168,7 @@ def format_system(sys: RewriteSystem) -> str:
     lines = ["alpha: " + " ".join(LETTERS[: sys.alphabet_size])]
     lines.append(f"kind: {sys.kind.value}")
     for lhs, rhs in sys.rules:
-        lines.append(f"rule: {lhs} -> {rhs or '1'}")
+        lines.append(f"rule: {lhs} -> {format_plain(rhs)}")
     return "\n".join(lines) + "\n"
 
 
@@ -187,9 +188,8 @@ def parse_system(text: str) -> RewriteSystem:
             sides = [s.strip() for s in value.split("->")]
             if len(sides) != 2 or not sides[0]:
                 raise ValueError(f"line {lineno}: expected 'rule: lhs -> rhs'")
-            lhs = sides[0]
-            rhs = "" if sides[1] == "1" else sides[1]
-            if lhs == "1":
+            lhs, rhs = map(parse_plain, sides)
+            if not lhs:
                 raise ValueError(f"line {lineno}: empty left side is not allowed")
             rules.append((lhs, rhs))
         else:

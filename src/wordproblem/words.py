@@ -9,8 +9,10 @@ lowercase letter LETTERS[i] and its inverse as the uppercase letter, so
 The four text formats of the package (presentations, rewriting systems,
 machines, tree rules) are read through :func:`declarations`, and their
 alphabets are checked by :func:`alphabet_size` and :func:`check_letters`.
-Formatters name letters through :func:`spell`, which refuses an index
-that has no letter.
+Plain-letter words (rewriting, tapes, equations) are strings, and
+:func:`parse_plain`/:func:`format_plain` state that "1" is their empty
+word too.  Formatters name letters through :func:`spell`, which refuses
+an index that has no letter.
 
 All functions here are pure and operate on immutable tuples.
 """
@@ -209,6 +211,16 @@ def alphabet_size(value: str, lineno: int) -> int:
             f"(at most {len(LETTERS)}), got {value!r}"
         )
     return len(names)
+
+
+def parse_plain(text: str) -> str:
+    """A plain-letter word (rewriting, tapes, equations); "1" is the empty word."""
+    return "" if text == "1" else text
+
+
+def format_plain(w: str) -> str:
+    """Textual form of a plain-letter word; the empty word renders as "1"."""
+    return w or "1"
 
 
 def check_letters(text: str, size: int) -> str:

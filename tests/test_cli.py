@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import subprocess
@@ -5,7 +6,10 @@ import sys
 
 import pytest
 
+from wordproblem import cli, sequences
 from wordproblem.cli import main
+from wordproblem.presentations import CATALOG
+from wordproblem.reductions import TM_CATALOG
 
 CLI = [sys.executable, "-m", "wordproblem.cli"]
 
@@ -229,6 +233,41 @@ class TestErrors:
         assert result.stderr == (
             "wordproblem: error: line 2: a node must have exactly two children\n"
         )
+
+    def test_out_of_memory(self, monkeypatch, capsys):
+        def exhausted(n):
+            raise MemoryError
+
+        monkeypatch.setattr(sequences, "thue_morse_prefix", exhausted)
+        assert main(["seq", "--kind", "tm", "--n", "10"]) == 1
+        assert capsys.readouterr() == ("", "wordproblem: error: out of memory\n")
+
+
+class TestParser:
+    def test_preset_choices_are_the_catalog_tables(self):
+        subs = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        found = {}
+        for command, sub in subs.choices.items():
+            for action in sub._actions:
+                if "--preset" in action.option_strings:
+                    found[command] = list(action.choices)
+        presentation = list(CATALOG)
+        machine = list(TM_CATALOG)
+        assert found == {"dehn-solve": presentation, "small-cancel": presentation,
+                         "cayley": presentation, "tm-run": machine, "tm-encode": machine}
+
+    def test_two_calls_build_the_parser_once(self, monkeypatch, capsys):
+        builds = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            assert main(["reduce", "abA"]) == main(["reduce", "aB"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert capsys.readouterr().out == "reduced: abA\nreduced: aB\n"
 
 
 class TestGoldenDeterminism:

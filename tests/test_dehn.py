@@ -1,8 +1,12 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
+from wordproblem.cayley import to_cayley_graph, todd_coxeter
 from wordproblem.dehn import (
     DehnOutcome,
     DehnStep,
@@ -20,6 +24,7 @@ from wordproblem.presentations import (
 )
 from wordproblem.words import (
     EPSILON,
+    GenLetter,
     concat,
     exponent_vector,
     format_word,
@@ -305,3 +310,54 @@ class TestAgainstOracle:
                 assert ((found[1],) if found else ()) == expected, name
                 if found:
                     assert found[0] == replay_dehn_trace(word, sym, expected)
+
+
+# Finite groups whose Cayley graphs the Dehn solver's answers are checked
+# against: the solver is exact only under C'(1/6), but its rewriting must
+# keep the group element on any presentation.
+FINITE_QUOTIENTS = {
+    "dihedral5": catalog("dihedral5"),
+    "A5": GroupPresentation(2, (w("aa"), w("bbb"), w("ab" * 5))),
+    "PSL27": GroupPresentation(2, (w("aa"), w("bbb"), w("ab" * 7), w("abAB" * 4))),
+}
+FINITE_ORDERS = {"dihedral5": 10, "A5": 60, "PSL27": 168}
+
+
+@functools.cache
+def finite_cayley_graph(name):
+    graph = to_cayley_graph(todd_coxeter(FINITE_QUOTIENTS[name], 2000))
+    assert graph.n_vertices == FINITE_ORDERS[name]
+    return graph
+
+
+LETTER = st.builds(GenLetter, st.integers(0, 1), st.sampled_from((1, -1)))
+# a chunk is a conjugated relator (relator, rotation, inverted?, conjugator)
+# or a run of random letters
+CHUNK = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 27), st.booleans(),
+              st.lists(LETTER, max_size=3)),
+    st.lists(LETTER, max_size=5),
+)
+
+
+class TestAgainstFiniteQuotients:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(FINITE_QUOTIENTS)), chunks=st.lists(CHUNK, max_size=6))
+    def test_verdicts_keep_the_group_element(self, name, chunks):
+        p = FINITE_QUOTIENTS[name]
+        word = ()
+        for chunk in chunks:
+            if isinstance(chunk, tuple):
+                i, k, inverted, conjugator = chunk
+                r = p.relators[i % len(p.relators)]
+                r = r[k % len(r):] + r[: k % len(r)]
+                u = tuple(conjugator)
+                word += u + (invert(r) if inverted else r) + invert(u)
+            else:
+                word += tuple(chunk)
+        graph = finite_cayley_graph(name)
+        outcome = dehn_solve(word, p)
+        note(f"{format_word(word)} -> {outcome.verdict.value} {format_word(outcome.final_word)}")
+        assert graph.trace(outcome.final_word) == graph.trace(word)
+        if outcome.verdict is Verdict.TRIVIAL:
+            assert graph.trace(word) == 0

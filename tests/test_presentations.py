@@ -278,8 +278,17 @@ class TestTextFormat:
             parse_presentation(f"gens: {gens} {{\neq: a = a\n")
 
     def test_equation_letter_outside_alphabet(self):
-        with pytest.raises(ValueError, match="^letter 'c' outside alphabet of size 2$"):
+        with pytest.raises(ValueError, match="^line 2: letter 'c' outside alphabet of size 2$"):
             parse_presentation("gens: a b\neq: ab = c\n")
+
+    @pytest.mark.parametrize("line", ["eq: ab = 1", "eq: ab =", "eq: 1 = ab"])
+    def test_equation_sides_are_nonempty(self, line):
+        with pytest.raises(ValueError, match=r"^line 2: empty equation side"):
+            parse_presentation(f"gens: a b\n{line}\n")
+
+    def test_semigroup_presentation_rejects_an_empty_side(self):
+        with pytest.raises(ValueError, match="empty equation side"):
+            SemigroupPresentation(2, (("ab", ""),))
 
 
 def test_format_refuses_more_than_26_generators():

@@ -184,6 +184,7 @@ def test_at_most_26_symbols():
     "text,message",
     [
         ("states: x\nsymbols: a\n", "line 1: expected a number of states, got 'x'"),
+        ("symbols: a\nstates: 0\n", "line 2: need at least one state, got 0"),
         ("states: 2\nsymbols: a\nstart: q3\n", "line 3: state 'q3' out of range"),
         ("states: 2\nsymbols: a\nstart: 3\n", "line 3: bad state name '3'"),
         ("states: 1\nsymbols: a\n\ntrans: q0 a -> q5 a R\n", "line 4: state 'q5' out of range"),

@@ -66,7 +66,7 @@ class TestApplyRule:
 
     def test_errors(self):
         sys = RewriteSystem(2, (("ab", "ba"),))
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="rule index 5 out of range"):
             apply_rule("ab", sys, 5, 0)
         with pytest.raises(ValueError):
             apply_rule("ab", sys, 0, 1)
@@ -239,6 +239,11 @@ class TestReplay:
         trace = DerivationTrace("ac", ((0, 1),), "ca")
         with pytest.raises(ValueError):
             replay_trace(CEIJTIN, trace)
+
+    def test_replay_checks_rule_index(self):
+        sys = RewriteSystem(2, (("ab", "ba"),))
+        with pytest.raises(ValueError, match="rule index 5 out of range"):
+            replay_trace(sys, DerivationTrace("ab", ((5, 0),), "ba"))
 
     def test_replay_checks_end(self):
         trace = DerivationTrace("ac", ((0, 0),), "ac")

@@ -13,11 +13,13 @@ from wordproblem.words import (
     cyclic_reduce,
     declarations,
     exponent_vector,
+    format_plain,
     format_word,
     free_reduce,
     invert,
     is_freely_reduced,
     make_word,
+    parse_plain,
     parse_word,
     spell,
 )
@@ -151,6 +153,10 @@ class TestTextFormat:
 
     def test_letters(self):
         assert parse_word("aB") == (GenLetter(0, 1), GenLetter(1, -1))
+
+    def test_plain_words_spell_the_empty_word_as_one(self):
+        assert (parse_plain("1"), format_plain("")) == ("", "1")
+        assert (parse_plain("ab"), format_plain("ab")) == ("ab", "ab")
 
 
 class TestDeclarations:
