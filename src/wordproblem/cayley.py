@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .presentations import GroupPresentation
-from .words import GenLetter, Word, free_reduce, spell
+from .words import GenLetter, Word, spell
 
 
 class TableStatus(enum.Enum):
@@ -220,8 +220,9 @@ def to_cayley_graph(t: CosetTable) -> CayleyGraph:
 
 
 def word_problem_finite(w: Word, g: CayleyGraph) -> bool:
-    """True iff w traces from the identity vertex back to it."""
-    return g.trace(free_reduce(w)) == 0
+    """True iff w traces from the identity vertex back to it.  Every edge
+    has its mirror, so w need not be freely reduced."""
+    return g.trace(w) == 0
 
 
 def _bfs_distances(g: CayleyGraph, source: int) -> List[int]:

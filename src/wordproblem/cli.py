@@ -71,8 +71,6 @@ def _catalog_entry(args, name: str) -> presentations.Presentation:
     params = {}
     for _, param in presentations.CATALOG.values():
         value = getattr(args, param) if param else None
-        if isinstance(value, str):  # a comma list
-            value = tuple(int(e) for e in value.split(","))
         if value is not None:
             params[param] = value
     return presentations.catalog(name, **params)
@@ -92,6 +90,13 @@ def _add_source(sub, names, file_flag: str):
     group.add_argument(file_flag, dest="file", metavar="FILE")
 
 
+def _int_tuple(text: str) -> tuple:
+    try:
+        return tuple(int(e) for e in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid comma list of ints: {text!r}") from None
+
+
 def _add_catalog_params(sub):
     """One option per catalog parameter, typed like the builder's default:
     an int, or a tuple given as a comma list."""
@@ -99,7 +104,7 @@ def _add_catalog_params(sub):
         if param is None:
             continue
         if isinstance(inspect.signature(build).parameters[param].default, tuple):
-            sub.add_argument(f"--{param}", help=f"comma list for the {name} preset")
+            sub.add_argument(f"--{param}", type=_int_tuple, help=f"comma list for the {name} preset")
         else:
             sub.add_argument(f"--{param}", type=int, help=f"parameter for the {name} preset")
 

@@ -176,6 +176,7 @@ def parse_system(text: str) -> RewriteSystem:
     alphabet = None
     kind = SystemKind.SEMI_THUE
     rules = []
+    rule_lines = []
     for lineno, key, value in declarations(text):
         if key == "alpha":
             alphabet = alphabet_size(value, lineno)
@@ -192,8 +193,14 @@ def parse_system(text: str) -> RewriteSystem:
             if not lhs:
                 raise ValueError(f"line {lineno}: empty left side is not allowed")
             rules.append((lhs, rhs))
+            rule_lines.append(lineno)
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     if alphabet is None:
         raise ValueError("missing 'alpha:' line")
+    for lineno, (lhs, rhs) in zip(rule_lines, rules):  # 'alpha:' may come later
+        try:
+            check_letters(lhs + rhs, alphabet)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return RewriteSystem(alphabet, tuple(rules), kind)

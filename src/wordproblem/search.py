@@ -1,10 +1,13 @@
 """Bounded breadth-first search and the derivation traces it proves.
 
-Two entry points: plain forward reachability (directed systems) and a
-bidirectional class search for symmetric systems, where the target's
-class is explored at the same time as the source's.  The budget counts
-expanded (popped) states, summed over both directions.  String and tree
-rewriting share both, and this module owns their witness format: a
+One breadth-first loop serves two entry points.  The class search for
+symmetric systems grows a frontier from each end and expands the smaller
+one each time, the source's on a tie; a state reached from both sides
+joins the two halves of the path.  Forward reachability for directed
+systems is the one-sided case: only the source's side grows, and
+reaching the target is the meet.  The budget counts expanded (popped)
+states, summed over both sides.  String and tree rewriting share the
+loop, and this module owns their witness format: a
 :class:`DerivationTrace` (start, steps, end), re-checked by :func:`replay`
 with the caller's step function.
 
@@ -81,44 +84,7 @@ def forward_search(
     budget: int,
 ) -> Tuple[SearchStatus, Optional[DerivationTrace], SearchStats]:
     """BFS reachability from start to goal; steps come from successors_of."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if start == goal:
-        return SearchStatus.PROVEN, DerivationTrace(start, (), goal), SearchStats(0, 0, 0)
-    visited = {start: None}
-    frontier = deque([(start, 0)])
-    expanded = 0
-    peak = 1
-    max_depth = 0
-    while frontier:
-        if expanded >= budget:
-            return SearchStatus.BUDGET_EXHAUSTED, None, SearchStats(expanded, peak, max_depth)
-        state, depth = frontier.popleft()
-        expanded += 1
-        max_depth = max(max_depth, depth)
-        for nxt, step in successors_of(state):
-            if nxt in visited:
-                continue
-            visited[nxt] = (state, step)
-            if nxt == goal:
-                return (
-                    SearchStatus.PROVEN,
-                    DerivationTrace(start, tuple(_walk_back(visited, nxt)), goal),
-                    SearchStats(expanded, peak, max_depth),
-                )
-            frontier.append((nxt, depth + 1))
-            peak = max(peak, len(frontier))
-    return SearchStatus.REFUTED_EXHAUSTED, None, SearchStats(expanded, peak, max_depth)
-
-
-def _walk_back(visited, state) -> List[object]:
-    """The steps recorded in visited on the way from the root to state."""
-    steps = []
-    while visited[state] is not None:
-        state, step = visited[state]
-        steps.append(step)
-    steps.reverse()
-    return steps
+    return _search(start, goal, successors_of, None, budget)
 
 
 def class_search(
@@ -136,55 +102,63 @@ def class_search(
     the same place.  If either side's frontier empties without meeting,
     that side's class is complete and the words are provably inequivalent.
     """
+    # the budget check and the equal-ends shortcut come before any sort key
+    if budget < 1 or start == goal or not sort_key(goal) < sort_key(start):
+        return _search(start, goal, successors_of, reverse_step, budget)
+    status, trace, stats = _search(goal, start, successors_of, reverse_step, budget)
+    if trace is not None:
+        steps = tuple(reverse_step(s) for s in reversed(trace.steps))
+        trace = DerivationTrace(start, steps, goal)
+    return status, trace, stats
+
+
+def _search(a, b, successors_of, reverse_step, budget):
+    """The breadth-first loop from a toward b.  Side 0 grows from a; side 1
+    grows from b only when reverse_step is given, and otherwise holds b
+    alone, so reaching b is the meet."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if start == goal:
-        return SearchStatus.PROVEN, DerivationTrace(start, (), goal), SearchStats(0, 0, 0)
-    swapped = sort_key(goal) < sort_key(start)
-    a, b = (goal, start) if swapped else (start, goal)
-
-    visited_a = {a: None}  # state -> (parent, step applied to parent) toward a
-    visited_b = {b: None}  # state -> (parent, step applied to state) toward b
-    front_a = deque([(a, 0)])
-    front_b = deque([(b, 0)])
+    if a == b:
+        return SearchStatus.PROVEN, DerivationTrace(a, (), b), SearchStats(0, 0, 0)
+    one_sided = reverse_step is None
+    # state -> None at the root, else (parent, step): side 0 records the
+    # step from parent to state, side 1 the step from state to parent
+    visited = ({a: None}, {b: None})
+    fronts = (deque([(a, 0)]), deque() if one_sided else deque([(b, 0)]))
     expanded = 0
-    peak = 2
+    peak = len(fronts[0]) + len(fronts[1])
     max_depth = 0
     meet = None
-
-    while front_a and front_b and meet is None:
+    while meet is None and fronts[0] and (one_sided or fronts[1]):
         if expanded >= budget:
             return SearchStatus.BUDGET_EXHAUSTED, None, SearchStats(expanded, peak, max_depth)
-        from_a = len(front_a) <= len(front_b)
-        frontier = front_a if from_a else front_b
+        side = 0 if one_sided or len(fronts[0]) <= len(fronts[1]) else 1
+        mine, theirs, frontier = visited[side], visited[1 - side], fronts[side]
         state, depth = frontier.popleft()
         expanded += 1
         max_depth = max(max_depth, depth)
         for nxt, step in successors_of(state):
-            if from_a:
-                if nxt in visited_a:
-                    continue
-                visited_a[nxt] = (state, step)
-                if nxt in visited_b:
-                    meet = nxt
-                    break
-                front_a.append((nxt, depth + 1))
-            else:
-                if nxt in visited_b:
-                    continue
-                visited_b[nxt] = (state, reverse_step(step))
-                if nxt in visited_a:
-                    meet = nxt
-                    break
-                front_b.append((nxt, depth + 1))
-        peak = max(peak, len(front_a) + len(front_b))
+            if nxt in mine:
+                continue
+            mine[nxt] = (state, reverse_step(step) if side else step)
+            if nxt in theirs:
+                meet = nxt
+                break
+            frontier.append((nxt, depth + 1))
+        peak = max(peak, len(fronts[0]) + len(fronts[1]))
 
     stats = SearchStats(expanded, peak, max_depth)
     if meet is None:
         return SearchStatus.REFUTED_EXHAUSTED, None, stats
+    steps = _walk_back(visited[0], meet) + _walk_back(visited[1], meet)[::-1]
+    return SearchStatus.PROVEN, DerivationTrace(a, tuple(steps), b), stats
 
-    # a -> meet, then meet -> b (visited_b records that half from b's end)
-    steps = _walk_back(visited_a, meet) + _walk_back(visited_b, meet)[::-1]
-    if swapped:
-        steps = [reverse_step(s) for s in reversed(steps)]
-    return SearchStatus.PROVEN, DerivationTrace(start, tuple(steps), goal), stats
+
+def _walk_back(visited, state) -> List[object]:
+    """The steps recorded in visited on the way from the root to state."""
+    steps = []
+    while visited[state] is not None:
+        state, step = visited[state]
+        steps.append(step)
+    steps.reverse()
+    return steps

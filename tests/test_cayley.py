@@ -110,6 +110,85 @@ class TestToddCoxeter:
             to_cayley_graph(table)
 
 
+# ------------------------------------------------- permutation models
+# Generator permutations built here, independently of the enumerator.  A
+# permutation is the tuple of images of 0..k-1; a word acts letter by
+# letter from the left.
+
+
+def compose(x, y):
+    """x, then y."""
+    return tuple(y[i] for i in x)
+
+
+def inverse(x):
+    out = [0] * len(x)
+    for i, j in enumerate(x):
+        out[j] = i
+    return tuple(out)
+
+
+def cycles(k, *cs):
+    p = list(range(k))
+    for c in cs:
+        for i, x in enumerate(c):
+            p[x] = c[(i + 1) % len(c)]
+    return tuple(p)
+
+
+def mobius(a, b, c, d, p):
+    """z -> (az + b) / (cz + d) on the projective line over F_p; p is infinity."""
+    def image(z):
+        num, den = (a, c) if z == p else ((a * z + b) % p, (c * z + d) % p)
+        return p if den == 0 else num * pow(den, -1, p) % p
+    return tuple(image(z) for z in range(p + 1))
+
+
+def dihedral(n):
+    rotation = tuple((i + 1) % n for i in range(n))
+    reflection = tuple(-i % n for i in range(n))
+    return GroupPresentation(2, (w("a" * n), w("bb"), w("baba"))), (rotation, reflection)
+
+
+PERMUTATION_MODELS = {
+    "D3": dihedral(3),
+    "D5": (catalog("dihedral5"), dihedral(5)[1]),
+    "D8": dihedral(8),
+    "A5": (GroupPresentation(2, (w("aa"), w("bbb"), w("ab" * 5))),
+           (cycles(5, (0, 1), (2, 3)), cycles(5, (0, 2, 4)))),
+    "PSL27": (GroupPresentation(2, (w("aa"), w("bbb"), w("ab" * 7), w("abAB" * 4))),
+              (mobius(0, 6, 1, 0, 7), mobius(0, 1, 6, 1, 7))),
+}
+
+
+@pytest.mark.parametrize("name", PERMUTATION_MODELS)
+def test_coset_table_is_the_permutation_group(name):
+    """Sending each vertex to the permutation of a word traced to it is a
+    bijection onto the generated group that respects every edge."""
+    presentation, gens = PERMUTATION_MODELS[name]
+    letters = [p for g in gens for p in (g, inverse(g))]  # edge columns 2i, 2i + 1
+    graph = to_cayley_graph(todd_coxeter(presentation, 4096))
+    identity = tuple(range(len(gens[0])))
+    perm = {0: identity}
+    queue = [0]
+    for u in queue:  # breadth-first: a word reaches each vertex once
+        for column, v in enumerate(graph.neighbors[u]):
+            if v not in perm:
+                perm[v] = compose(perm[u], letters[column])
+                queue.append(v)
+    group, frontier = {identity}, [identity]  # closed under the generators
+    for x in frontier:
+        for y in (compose(x, g) for g in gens):
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    assert len(perm) == graph.n_vertices == len(set(perm.values()))
+    assert set(perm.values()) == group
+    for u, row in enumerate(graph.neighbors):
+        for column, v in enumerate(row):
+            assert perm[v] == compose(perm[u], letters[column]), (u, column)
+
+
 class TestCayleyGraphStructure:
     def test_sigma_edges_form_two_five_cycles(self):
         sigma = [D5.neighbors[v][0] for v in range(10)]
@@ -164,8 +243,9 @@ class TestWordProblem:
             )
 
     def test_letter_out_of_range(self):
-        with pytest.raises(ValueError):
-            word_problem_finite(w("c"), D5)
+        for word in ("c", "cC"):  # also when the letter cancels
+            with pytest.raises(ValueError, match="^letter index 2 out of range$"):
+                word_problem_finite(w(word), D5)
 
 
 class TestMetrics:

@@ -234,6 +234,20 @@ class TestErrors:
             "wordproblem: error: line 2: a node must have exactly two children\n"
         )
 
+    def test_string_rule_error_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "sys.txt"
+        path.write_text("alpha: a b\nkind: semithue\nrule: ax -> b\n")
+        assert main(["equiv", "--sys", str(path), "--from", "ab", "--to", "b"]) == 1
+        assert capsys.readouterr() == (
+            "", "wordproblem: error: line 3: letter 'x' outside alphabet of size 2\n")
+
+    def test_exponents_not_a_comma_list_of_ints(self, capsys):
+        assert main(["catalog", "higman_truncated", "--exponents", "1,x"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: wordproblem catalog ")
+        assert err.splitlines()[-1] == ("wordproblem catalog: error: argument --exponents: "
+                                        "invalid comma list of ints: '1,x'")
+
     def test_out_of_memory(self, monkeypatch, capsys):
         def exhausted(n):
             raise MemoryError

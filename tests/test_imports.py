@@ -1,8 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private module-level name it defines is read in that module.
 
-No linter ships with the package, so this standard-library check keeps
-stale imports out after code moves between modules.  ``__init__.py``
-is skipped: its imports are the public re-exports.
+No linter ships with the package, so these standard-library checks keep
+stale imports and dead private helpers out after code moves between
+modules.  ``__init__.py`` is skipped by the import check: its imports
+are the public re-exports.
 """
 
 import ast
@@ -13,7 +15,8 @@ import pytest
 import wordproblem
 
 PACKAGE = Path(wordproblem.__file__).parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def imported_names(tree):
@@ -43,3 +46,32 @@ def test_flags_an_unused_import():
     tree = ast.parse("import os\nfrom typing import List, Tuple\nx: Tuple = os.sep\n")
     names = used_names(tree)
     assert [n for n, _ in imported_names(tree) if n not in names] == ["List"]
+
+
+def unread_private_names(tree):
+    """Module-level _names (functions, classes, constants) never loaded."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, ast.Assign):
+            defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.append(node.target.id)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in loaded]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    unread = unread_private_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert not unread, f"{path.name} defines private names it never reads: {unread}"
+
+
+def test_flags_an_unread_private_name():
+    tree = ast.parse("_A = 1\n_B: int = 2\n__all__ = []\n"
+                     "def _used(): return _A\ndef _old(): pass\nclass _Gone: pass\n"
+                     "def run(): return _used()\n")
+    assert unread_private_names(tree) == ["_B", "_old", "_Gone"]

@@ -273,6 +273,14 @@ class TestTextFormat:
         sys = parse_system("alpha: a b\nrule: ab -> 1\n")
         assert sys.rules == (("ab", ""),)
 
+    @pytest.mark.parametrize("text, line", [
+        ("alpha: a b\nkind: semithue\nrule: ax -> b\n", 3),
+        ("rule: a -> x\nalpha: a b\n", 1),
+    ])
+    def test_letter_error_names_its_line(self, text, line):
+        with pytest.raises(ValueError, match=f"^line {line}: letter 'x' outside alphabet of size 2$"):
+            parse_system(text)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             parse_system("alpha: a b\nrule: 1 -> a\n")

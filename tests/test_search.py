@@ -1,6 +1,17 @@
-import pytest
+from collections import deque
 
-from wordproblem.search import DerivationTrace, SearchStatus, class_search, replay
+import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
+
+from wordproblem.search import (
+    DerivationTrace,
+    SearchStats,
+    SearchStatus,
+    class_search,
+    forward_search,
+    replay,
+)
 
 
 def add(n, step):
@@ -54,3 +65,176 @@ class TestClassSearchTrace:
         assert status is SearchStatus.PROVEN
         assert trace == DerivationTrace(4, (), 4)
         assert stats.expanded == 0
+
+
+# ---------------------------------------------------------------- oracles
+# The two breadth-first loops as they stood before forward reachability
+# became the one-sided case of the class search.  Status, trace and
+# statistics of the shared loop must match them exactly.
+
+
+def oracle_forward_search(start, goal, successors_of, budget):
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if start == goal:
+        return SearchStatus.PROVEN, DerivationTrace(start, (), goal), SearchStats(0, 0, 0)
+    visited = {start: None}
+    frontier = deque([(start, 0)])
+    expanded = 0
+    peak = 1
+    max_depth = 0
+    while frontier:
+        if expanded >= budget:
+            return SearchStatus.BUDGET_EXHAUSTED, None, SearchStats(expanded, peak, max_depth)
+        state, depth = frontier.popleft()
+        expanded += 1
+        max_depth = max(max_depth, depth)
+        for nxt, step in successors_of(state):
+            if nxt in visited:
+                continue
+            visited[nxt] = (state, step)
+            if nxt == goal:
+                return (
+                    SearchStatus.PROVEN,
+                    DerivationTrace(start, tuple(oracle_walk_back(visited, nxt)), goal),
+                    SearchStats(expanded, peak, max_depth),
+                )
+            frontier.append((nxt, depth + 1))
+            peak = max(peak, len(frontier))
+    return SearchStatus.REFUTED_EXHAUSTED, None, SearchStats(expanded, peak, max_depth)
+
+
+def oracle_walk_back(visited, state):
+    steps = []
+    while visited[state] is not None:
+        state, step = visited[state]
+        steps.append(step)
+    steps.reverse()
+    return steps
+
+
+def oracle_class_search(start, goal, successors_of, reverse_step, sort_key, budget):
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if start == goal:
+        return SearchStatus.PROVEN, DerivationTrace(start, (), goal), SearchStats(0, 0, 0)
+    swapped = sort_key(goal) < sort_key(start)
+    a, b = (goal, start) if swapped else (start, goal)
+
+    visited_a = {a: None}
+    visited_b = {b: None}
+    front_a = deque([(a, 0)])
+    front_b = deque([(b, 0)])
+    expanded = 0
+    peak = 2
+    max_depth = 0
+    meet = None
+
+    while front_a and front_b and meet is None:
+        if expanded >= budget:
+            return SearchStatus.BUDGET_EXHAUSTED, None, SearchStats(expanded, peak, max_depth)
+        from_a = len(front_a) <= len(front_b)
+        frontier = front_a if from_a else front_b
+        state, depth = frontier.popleft()
+        expanded += 1
+        max_depth = max(max_depth, depth)
+        for nxt, step in successors_of(state):
+            if from_a:
+                if nxt in visited_a:
+                    continue
+                visited_a[nxt] = (state, step)
+                if nxt in visited_b:
+                    meet = nxt
+                    break
+                front_a.append((nxt, depth + 1))
+            else:
+                if nxt in visited_b:
+                    continue
+                visited_b[nxt] = (state, reverse_step(step))
+                if nxt in visited_a:
+                    meet = nxt
+                    break
+                front_b.append((nxt, depth + 1))
+        peak = max(peak, len(front_a) + len(front_b))
+
+    stats = SearchStats(expanded, peak, max_depth)
+    if meet is None:
+        return SearchStatus.REFUTED_EXHAUSTED, None, stats
+    steps = oracle_walk_back(visited_a, meet) + oracle_walk_back(visited_b, meet)[::-1]
+    if swapped:
+        steps = [reverse_step(s) for s in reversed(steps)]
+    return SearchStatus.PROVEN, DerivationTrace(start, tuple(steps), goal), stats
+
+
+def outcome(search, *args):
+    """The search's result, or ("raises", message) for a ValueError."""
+    try:
+        return search(*args)
+    except ValueError as e:
+        return "raises", str(e)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """Vertices 0..n-1, edges as (tail, head) pairs in a fixed order
+    (loops and parallel edges included), a start, a goal, a budget from
+    -1 to n + 1 and a random vertex order for the sort key."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=n // 2, max_size=2 * n))
+    start = draw(vertex)
+    goal = (start + draw(st.integers(0, n - 1))) % n
+    return edges, start, goal, draw(st.integers(-1, n + 1)), draw(st.permutations(range(n)))
+
+
+class TestAgainstTheSeparateLoops:
+    """Random labelled graphs: directed for forward_search (step = edge
+    index), undirected for class_search (step = (edge index, +1 or -1),
+    reversed by negating the sign)."""
+
+    @given(labelled_graphs())
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_forward_search(self, graph):
+        edges, start, goal, budget, _ = graph
+        note(f"edges={edges} start={start} goal={goal} budget={budget}")
+
+        def successors(u):
+            return [(v, i) for i, (t, v) in enumerate(edges) if t == u]
+
+        def apply_step(u, i):
+            if edges[i][0] != u:
+                raise ValueError(f"edge {i} does not leave {u}")
+            return edges[i][1]
+
+        got = outcome(forward_search, start, goal, successors, budget)
+        assert got == outcome(oracle_forward_search, start, goal, successors, budget)
+        if got[0] is SearchStatus.PROVEN:
+            list(replay(got[1], apply_step))
+
+    @given(labelled_graphs())
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_class_search(self, graph):
+        edges, start, goal, budget, order = graph
+        note(f"edges={edges} start={start} goal={goal} budget={budget} order={order}")
+
+        def successors(u):
+            out = []
+            for i, (t, h) in enumerate(edges):
+                if t == u:
+                    out.append((h, (i, 1)))
+                if h == u:
+                    out.append((t, (i, -1)))
+            return out
+
+        def apply_step(u, step):
+            i, sign = step
+            t, h = edges[i] if sign > 0 else edges[i][::-1]
+            if t != u:
+                raise ValueError(f"step {step} does not apply to {u}")
+            return h
+
+        args = (start, goal, successors, lambda s: (s[0], -s[1]), order.__getitem__, budget)
+        got = outcome(class_search, *args)
+        assert got == outcome(oracle_class_search, *args)
+        if got[0] is SearchStatus.PROVEN:
+            list(replay(got[1], apply_step))
