@@ -1,11 +1,13 @@
-"""Repetition-free sequences and their brute-force checkers.
+"""Repetition-free sequences and their power-freeness checker.
 
 Words are digit strings ('0', '1', ...).  The cube-free binary sequence
 is generated both from the substitution 0->01, 1->10 and from the bit
 parity of the position index; the two constructions are cross-checked in
 the test suite.  The square-free ternary sequence comes from the
 substitution 0->012, 1->02, 2->1 and is validated by the checker rather
-than taken on faith.
+than taken on faith.  The checker costs O(n^2/k) byte operations on a
+word of length n, with its inner loops at C level (big-integer XOR and
+``bytes.find``).
 """
 
 from __future__ import annotations
@@ -13,26 +15,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+_DIGITS = "0123456789"
+
 
 @dataclass(frozen=True)
 class Morphism:
-    """Per-letter images; prolongable at 0 means images[0] starts with
-    '0' and has length >= 2, which makes the fixed point well defined."""
+    """Per-letter images over the digits '0', '1', ... (one per image);
+    prolongable at 0 means images[0] starts with '0' and has length >= 2,
+    which makes the fixed point well defined."""
 
     images: Tuple[str, ...]
 
     def __post_init__(self):
         if not self.images:
             raise ValueError("a morphism needs at least one image")
+        letters = _DIGITS[: len(self.images)]
         for img in self.images:
             if not img:
                 raise ValueError("images must be nonempty (positive words)")
             for c in img:
-                if not c.isdigit() or int(c) >= len(self.images):
+                if c not in letters:
                     raise ValueError(f"image letter {c!r} outside alphabet")
 
     def apply(self, word: str) -> str:
-        return "".join(self.images[int(c)] for c in word)
+        letters = _DIGITS[: len(self.images)]
+        stray = word.lstrip(letters)
+        if stray:
+            raise ValueError(f"letter {stray[0]!r} outside alphabet")
+        return word.translate(str.maketrans(dict(zip(letters, self.images))))
 
     def is_prolongable(self) -> bool:
         return self.images[0][0] == "0" and len(self.images[0]) >= 2
@@ -69,25 +79,36 @@ def square_free_ternary_prefix(n: int) -> str:
 
 
 def is_power_free(w: str, k: int) -> Tuple[bool, Optional[Tuple[int, int]]]:
-    """Scan for a block repeated k times in a row (brute force).
+    """Scan for a block repeated k times in a row.
 
     Returns (True, None) if no such repetition exists, otherwise
     (False, (position, block length)) for the first repetition in
     lexicographic (position, block length) order.  k=2 checks
     square-freeness, k=3 cube-freeness.
+
+    For each block length p the word is XORed with itself shifted by p,
+    as one big integer: byte j of the result is zero iff letters j and
+    j+p agree, so a k-th power of block length p at position i is a run
+    of (k-1)*p zero bytes at i.  The cost is O(n^2/k) byte operations,
+    but the loops over positions run inside ``int`` and ``bytes.find``;
+    Python itself loops only over the n//k block lengths.
     """
     if k < 2:
         raise ValueError("power must be >= 2")
     data = w.encode("ascii")
     n = len(data)
-    span = k - 1
-    for i in range(n):
-        max_block = (n - i) // k
-        for length in range(1, max_block + 1):
-            if data[i] != data[i + length]:
-                continue
-            lo = i
-            hi = i + length
-            if data[lo : lo + span * length] == data[hi : hi + span * length]:
-                return False, (i, length)
-    return True, None
+    word = int.from_bytes(data, "big")
+    best = None
+    for p in range(1, n // k + 1):
+        run = (k - 1) * p
+        # a repetition at a position past the best one cannot win, and
+        # one at the best position has a longer block, so only a strictly
+        # smaller position may replace it
+        end = n - p if best is None else best[0] + run - 1
+        diff = (word ^ (word >> (8 * p))).to_bytes(n, "big")[p:]
+        i = diff.find(b"\0" * run, 0, end)
+        if i >= 0:
+            best = (i, p)
+            if i == 0:
+                break
+    return (True, None) if best is None else (False, best)

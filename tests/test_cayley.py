@@ -1,6 +1,9 @@
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordproblem.cayley import (
     CayleyGraph,
@@ -262,7 +265,7 @@ class TestMetrics:
 
     def test_delta_on_d5_is_small(self):
         # 10 vertices, diameter 3; any side point is near the other sides
-        assert 0 <= estimate_delta(D5) <= 2
+        assert estimate_delta(D5) == 1
 
     def test_disconnected_graph_rejected(self):
         two_loops = CayleyGraph(1, ((0, 0), (1, 1)))
@@ -290,3 +293,105 @@ def test_tgf_refuses_more_than_26_generators():
     assert to_tgf(CayleyGraph(26, ((0,) * 52,))).endswith("0 0 z\n")
     with pytest.raises(ValueError, match="outside the 26 text letters"):
         to_tgf(CayleyGraph(27, ((0,) * 54,)))
+
+
+# ------------------------------------------------- triangle thinness
+# The triple-by-triple scan estimate_delta replaced, with its own
+# breadth-first distances and geodesic choice.
+
+
+def oracle_distances(g, source):
+    dist = [-1] * g.n_vertices
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def oracle_geodesic(g, dist_to, u, v):
+    path = [u]
+    cur = u
+    while cur != v:
+        cur = min(n for n in g.neighbors[cur] if dist_to[v][n] == dist_to[v][cur] - 1)
+        path.append(cur)
+    return path
+
+
+def oracle_estimate_delta(g):
+    n = g.n_vertices
+    dist = [oracle_distances(g, s) for s in range(n)]
+    if any(d < 0 for row in dist for d in row):
+        raise ValueError("graph is disconnected")
+    if n < 3:
+        return 0
+
+    geodesic = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            geodesic[(u, v)] = oracle_geodesic(g, dist, u, v)
+
+    def side(u, v):
+        return geodesic[(u, v)] if u < v else geodesic[(v, u)]
+
+    delta = 0
+    for x in range(n):
+        for y in range(x + 1, n):
+            for z in range(y + 1, n):
+                sides = (side(x, y), side(y, z), side(x, z))
+                for i in range(3):
+                    others = sides[(i + 1) % 3] + sides[(i + 2) % 3]
+                    for point in sides[i]:
+                        defect = min(dist[point][q] for q in others)
+                        if defect > delta:
+                            delta = defect
+    return delta
+
+
+def permutation_cayley_graph(gens, limit):
+    """Cayley graph of the group the permutations generate, vertices in
+    breadth-first order from the identity; None past limit vertices."""
+    letters = [p for g in gens for p in (g, inverse(g))]
+    identity = tuple(range(len(gens[0])))
+    index = {identity: 0}
+    order = [identity]
+    for x in order:
+        for y in (compose(x, letter) for letter in letters):
+            if y not in index:
+                if len(order) == limit:
+                    return None
+                index[y] = len(order)
+                order.append(y)
+    return CayleyGraph(len(gens), tuple(tuple(index[compose(x, letter)] for letter in letters)
+                                        for x in order))
+
+
+@given(st.integers(2, 5).flatmap(
+    lambda k: st.lists(st.permutations(range(k)).map(tuple), min_size=1, max_size=3)))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_delta_matches_the_triple_scan_on_permutation_groups(gens):
+    graph = permutation_cayley_graph(gens, 40)
+    if graph is not None:
+        assert estimate_delta(graph) == oracle_estimate_delta(graph)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_delta_matches_the_triple_scan_on_dihedral_groups(n):
+    graph = to_cayley_graph(todd_coxeter(dihedral(n)[0], 4096))
+    assert estimate_delta(graph) == oracle_estimate_delta(graph)
+
+
+def test_delta_matches_the_triple_scan_on_a5():
+    graph = to_cayley_graph(todd_coxeter(PERMUTATION_MODELS["A5"][0], 4096))
+    assert estimate_delta(graph) == oracle_estimate_delta(graph)
+
+
+@pytest.mark.parametrize("name, delta", [
+    ("D3", 1), ("D4", 1), ("D6", 2), ("D7", 2), ("D10", 3), ("D15", 4), ("D20", 5), ("A5", 5)])
+def test_delta_exact_values(name, delta):
+    presentation = PERMUTATION_MODELS["A5"][0] if name == "A5" else dihedral(int(name[1:]))[0]
+    assert estimate_delta(to_cayley_graph(todd_coxeter(presentation, 4096))) == delta

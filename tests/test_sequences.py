@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordproblem.sequences import (
     SQUARE_FREE_MORPHISM,
@@ -76,6 +78,64 @@ class TestIsPowerFree:
         with pytest.raises(ValueError):
             is_power_free("0101", 1)
 
+    def test_only_power_has_the_longest_block(self):
+        # block length n // k is the last one tried
+        assert is_power_free("010101", 3) == (False, (0, 2))
+        assert is_power_free("1010102", 3) == (False, (0, 2))
+        assert is_power_free("2010101", 3) == (False, (1, 2))
+
+    def test_tie_goes_to_the_shorter_block(self):
+        # "0000" at 1 is both a square of "0" and of "00"
+        assert is_power_free("10000", 2) == (False, (1, 1))
+        assert is_power_free("1000000", 3) == (False, (1, 1))
+
+
+def oracle_is_power_free(w, k):
+    """The position-by-position scan the checker replaced."""
+    if k < 2:
+        raise ValueError("power must be >= 2")
+    data = w.encode("ascii")
+    n = len(data)
+    span = k - 1
+    for i in range(n):
+        max_block = (n - i) // k
+        for length in range(1, max_block + 1):
+            if data[i] != data[i + length]:
+                continue
+            lo = i
+            hi = i + length
+            if data[lo : lo + span * length] == data[hi : hi + span * length]:
+                return False, (i, length)
+    return True, None
+
+
+@st.composite
+def words_with_powers(draw):
+    """A word over 2-4 letters of length 0-80 and a power k in 2-4; half
+    the words get a k-th power of a random block planted in them."""
+    k = draw(st.integers(2, 4))
+    letters = st.sampled_from("0123"[: draw(st.integers(2, 4))])
+    word = draw(st.text(letters, max_size=80))
+    if draw(st.booleans()):
+        block = draw(st.text(letters, min_size=1, max_size=max(1, (80 - len(word)) // k)))
+        at = draw(st.integers(0, len(word)))
+        word = (word[:at] + block * k + word[at:])[:80]
+    return word, k
+
+
+@given(words_with_powers())
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+def test_is_power_free_matches_the_scan(case):
+    word, k = case
+    assert is_power_free(word, k) == oracle_is_power_free(word, k)
+
+
+def test_is_power_free_matches_the_scan_on_long_words():
+    for n, k in ((500, 3), (501, 2), (333, 4)):
+        for word in (thue_morse_prefix(n), square_free_ternary_prefix(n),
+                     thue_morse_prefix(n)[:n // 2] + "011" * k + thue_morse_prefix(n)):
+            assert is_power_free(word, k) == oracle_is_power_free(word, k)
+
 
 class TestFixedPointPrefix:
     def test_three_iterations_of_doubling(self):
@@ -103,3 +163,15 @@ class TestFixedPointPrefix:
             Morphism(("01", ""))
         with pytest.raises(ValueError):
             Morphism(("02", "1"))
+
+    def test_morphism_letters_are_ascii_digits(self):
+        # '\u0661' is ARABIC-INDIC DIGIT ONE: str.isdigit() and int() accept it
+        for images in (("0\u0661", "10"), ("0\uff11", "10"), ("0a", "10"), ("0 ", "10")):
+            with pytest.raises(ValueError, match="outside alphabet"):
+                Morphism(images)
+
+    def test_apply_rejects_letters_outside_the_alphabet(self):
+        assert SQUARE_FREE_MORPHISM.apply("0122") == "0120211"
+        for word in ("3", "01x", "0\u0661"):
+            with pytest.raises(ValueError, match="outside alphabet"):
+                SQUARE_FREE_MORPHISM.apply(word)
