@@ -207,12 +207,21 @@ def cmd_seq(args) -> int:
     return EXIT_OK
 
 
+# estimate_delta holds about n^3 distances, so its memory grows with the
+# cube of the coset count
+_DELTA_MAX_COSETS = 256
+
+
 def cmd_cayley(args) -> int:
     p = _group_presentation(args)
     table = cayley.todd_coxeter(p, args.max_cosets)
+    complete = table.status is cayley.TableStatus.COMPLETE
+    if args.delta and complete and table.n_cosets > _DELTA_MAX_COSETS:
+        raise ValueError(f"--delta takes at most {_DELTA_MAX_COSETS} cosets, "
+                         f"the table has {table.n_cosets}")
     _show(args, "status", table.status.value)
     _show(args, "cosets", table.n_cosets)
-    if table.status is not cayley.TableStatus.COMPLETE:
+    if not complete:
         return EXIT_UNDECIDED
     graph = cayley.to_cayley_graph(table)
     if args.word is not None:

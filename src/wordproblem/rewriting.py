@@ -50,10 +50,13 @@ class RewriteSystem:
         if self.kind is SystemKind.THUE:
             rule_set = set(self.rules)
             for lhs, rhs in self.rules:
-                if (rhs, lhs) not in rule_set:
-                    raise ValueError(
-                        f"symmetric system is missing the swap of ({lhs!r}, {rhs!r})"
-                    )
+                _check_swap(lhs, rhs, rule_set)
+
+
+def _check_swap(lhs: str, rhs: str, rule_set: set) -> None:
+    """A symmetric system carries the swap of every rule."""
+    if (rhs, lhs) not in rule_set:
+        raise ValueError(f"symmetric system is missing the swap of ({lhs!r}, {rhs!r})")
 
 
 def apply_rule(w: str, sys: RewriteSystem, rule_index: int, pos: int) -> str:
@@ -82,7 +85,8 @@ def successors(w: str, sys: RewriteSystem) -> List[Tuple[str, int, int]]:
     out = []
     seen = set()
     for pos, idx in hits:
-        word = apply_rule(w, sys, idx, pos)
+        lhs, rhs = sys.rules[idx]
+        word = w[:pos] + rhs + w[pos + len(lhs):]
         if word not in seen:
             seen.add(word)
             out.append((word, idx, pos))
@@ -198,9 +202,12 @@ def parse_system(text: str) -> RewriteSystem:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     if alphabet is None:
         raise ValueError("missing 'alpha:' line")
-    for lineno, (lhs, rhs) in zip(rule_lines, rules):  # 'alpha:' may come later
+    rule_set = set(rules)
+    for lineno, (lhs, rhs) in zip(rule_lines, rules):  # 'alpha:' and 'kind:' may come later
         try:
             check_letters(lhs + rhs, alphabet)
+            if kind is SystemKind.THUE:
+                _check_swap(lhs, rhs, rule_set)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return RewriteSystem(alphabet, tuple(rules), kind)

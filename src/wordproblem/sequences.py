@@ -1,9 +1,10 @@
 """Repetition-free sequences and their power-freeness checker.
 
 Words are digit strings ('0', '1', ...).  The cube-free binary sequence
-is generated both from the substitution 0->01, 1->10 and from the bit
-parity of the position index; the two constructions are cross-checked in
-the test suite.  The square-free ternary sequence comes from the
+is built by doubling, each prefix of length 2^k followed by its
+complement; the test suite checks it against the fixed point of the
+substitution 0->01, 1->10 and against the bit parity of the position
+index.  The square-free ternary sequence comes from the
 substitution 0->012, 1->02, 2->1 and is validated by the checker rather
 than taken on faith.  The checker costs O(n^2/k) byte operations on a
 word of length n, with its inner loops at C level (big-integer XOR and
@@ -67,11 +68,18 @@ def fixed_point_prefix(m: Morphism, n: int) -> str:
     return word[:n]
 
 
+_FLIP = str.maketrans("01", "10")
+
+
 def thue_morse_prefix(n: int) -> str:
-    """Cube-free binary sequence: letter k is the bit parity of k."""
+    """Cube-free binary sequence, built by doubling: the first 2^(k+1)
+    letters are the first 2^k followed by their complement."""
     if n < 0:
         raise ValueError("length must be >= 0")
-    return "".join("01"[k.bit_count() & 1] for k in range(n))
+    word = "0"
+    while len(word) < n:
+        word += word.translate(_FLIP)
+    return word[:n]
 
 
 def square_free_ternary_prefix(n: int) -> str:

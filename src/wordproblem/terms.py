@@ -10,6 +10,10 @@ Positions are direction strings over 'L'/'R' ('' is the root).  A rule
 lhs => rhs rewrites a matched subterm by the substituted right side;
 used symmetrically (both orientations) this gives the tree analogue of
 word equivalence, searched with the same bounded engine as strings.
+The successors of a term come from one walk over it in preorder: at
+each subterm the rules are tried in order, forward before reverse, then
+the walk enters the left child and then the right one, rebuilding each
+rewrite around the untouched sibling on the way back.
 
 Text format: leaves are bare names ('A', '?x', 'A:p'), nodes are
 parenthesized pairs: ((A B) C).  Rules are written 'lhs => rhs'.
@@ -18,7 +22,7 @@ parenthesized pairs: ((A B) C).  Rules are written 'lhs => rhs'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .search import DerivationTrace, SearchOutcome, class_search, replay
 from .words import declarations
@@ -83,6 +87,21 @@ class TreeRule:
         return variables(self.lhs) == variables(self.rhs)
 
 
+def _match(p: Term, s: Term, binding: Dict[str, Term]) -> bool:
+    """Extend binding so that p instantiates to s; False if it cannot."""
+    if isinstance(p, Leaf):
+        if p.is_var():
+            if p.tag is not None and not (isinstance(s, Leaf) and s.tag == p.tag):
+                return False
+            if p.name in binding:
+                return binding[p.name] == s
+            binding[p.name] = s
+            return True
+        return isinstance(s, Leaf) and s == p
+    return (isinstance(s, Node) and _match(p.left, s.left, binding)
+            and _match(p.right, s.right, binding))
+
+
 def match_subst(pattern: Term, subject: Term) -> Optional[Dict[str, Term]]:
     """The unique substitution taking pattern to subject, if any.
 
@@ -90,20 +109,7 @@ def match_subst(pattern: Term, subject: Term) -> Optional[Dict[str, Term]]:
     matches only a leaf carrying the same tag.
     """
     binding: Dict[str, Term] = {}
-
-    def walk(p: Term, s: Term) -> bool:
-        if isinstance(p, Leaf):
-            if p.is_var():
-                if p.tag is not None and not (isinstance(s, Leaf) and s.tag == p.tag):
-                    return False
-                if p.name in binding:
-                    return binding[p.name] == s
-                binding[p.name] = s
-                return True
-            return isinstance(s, Leaf) and s == p
-        return isinstance(s, Node) and walk(p.left, s.left) and walk(p.right, s.right)
-
-    return binding if walk(pattern, subject) else None
+    return binding if _match(pattern, subject, binding) else None
 
 
 def substitute(t: Term, binding: Dict[str, Term]) -> Term:
@@ -116,31 +122,6 @@ def substitute(t: Term, binding: Dict[str, Term]) -> Term:
     return Node(substitute(t.left, binding), substitute(t.right, binding))
 
 
-def subterm_at(t: Term, path: str) -> Term:
-    for d in path:
-        if not isinstance(t, Node):
-            raise ValueError(f"path {path!r} leaves the tree")
-        if d == "L":
-            t = t.left
-        elif d == "R":
-            t = t.right
-        else:
-            raise ValueError(f"path direction must be L or R, got {d!r}")
-    return t
-
-
-def replace_at(t: Term, path: str, replacement: Term) -> Term:
-    if not path:
-        return replacement
-    if not isinstance(t, Node):
-        raise ValueError(f"path {path!r} leaves the tree")
-    if path[0] == "L":
-        return Node(replace_at(t.left, path[1:], replacement), t.right)
-    if path[0] == "R":
-        return Node(t.left, replace_at(t.right, path[1:], replacement))
-    raise ValueError(f"path direction must be L or R, got {path[0]!r}")
-
-
 def _sides(rule: TreeRule, direction: str) -> Tuple[Term, Term]:
     """(matched side, replacing side) of rule applied in direction."""
     if direction == FORWARD:
@@ -150,36 +131,54 @@ def _sides(rule: TreeRule, direction: str) -> Tuple[Term, Term]:
     raise ValueError(f"direction must be {FORWARD!r} or {REVERSE!r}")
 
 
-def _check_reversible(rules: List[TreeRule]) -> None:
+def _oriented(rules: List[TreeRule]) -> List[tuple]:
+    """(index, direction, matched side, replacing side) of every rule,
+    forward before reverse; every rule must carry the same variables on
+    both sides."""
+    out = []
     for idx, rule in enumerate(rules):
         if not rule.is_reversible():
             raise ValueError(
                 f"rule {idx} cannot be applied in reverse: "
                 "its sides carry different variables"
             )
+        out += [(idx, d, *_sides(rule, d)) for d in (FORWARD, REVERSE)]
+    return out
 
 
 def apply_tree_rule(t: Term, rule: TreeRule, path: str, direction: str = FORWARD) -> Term:
-    """Rewrite the subterm addressed by path; it must match the rule side."""
+    """Rewrite the subterm addressed by path; it must match the rule side.
+    The nodes above it are collected on the way down and rebuilt upwards."""
     src, dst = _sides(rule, direction)
-    subject = subterm_at(t, path)
-    binding = match_subst(src, subject)
+    spine = []
+    for d in path:
+        if not isinstance(t, Node):
+            raise ValueError(f"path {path!r} leaves the tree")
+        if d not in ("L", "R"):
+            raise ValueError(f"path direction must be L or R, got {d!r}")
+        spine.append(t)
+        t = t.left if d == "L" else t.right
+    binding = match_subst(src, t)
     if binding is None:
         raise ValueError(f"rule does not match at path {path!r}")
-    return replace_at(t, path, substitute(dst, binding))
+    t = substitute(dst, binding)
+    for node, d in zip(reversed(spine), reversed(path)):
+        t = Node(t, node.right) if d == "L" else Node(node.left, t)
+    return t
 
 
-def preorder_paths(t: Term) -> List[Tuple[str, Term]]:
-    out = []
-
-    def walk(sub: Term, path: str):
-        out.append((path, sub))
-        if isinstance(sub, Node):
-            walk(sub.left, path + "L")
-            walk(sub.right, path + "R")
-
-    walk(t, "")
-    return out
+def _rewrites(t: Term, oriented: List[tuple], path: str) -> Iterator[Tuple[Term, TreeStep]]:
+    """Every one-step rewrite of the subterm t at path, in preorder."""
+    for idx, direction, src, dst in oriented:
+        binding: Dict[str, Term] = {}
+        if _match(src, t, binding):
+            yield substitute(dst, binding), TreeStep(idx, direction, path)
+    if isinstance(t, Node):
+        left, right = t.left, t.right
+        for sub, step in _rewrites(left, oriented, path + "L"):
+            yield Node(sub, right), step
+        for sub, step in _rewrites(right, oriented, path + "R"):
+            yield Node(left, sub), step
 
 
 def tree_successors(t: Term, rules: List[TreeRule]) -> List[Tuple[Term, TreeStep]]:
@@ -189,20 +188,12 @@ def tree_successors(t: Term, rules: List[TreeRule]) -> List[Tuple[Term, TreeStep
     results are deduplicated by term, keeping the first witness.  Every
     rule must carry the same variables on both sides.
     """
-    _check_reversible(rules)
-    oriented = [(idx, direction, *_sides(rule, direction))
-                for idx, rule in enumerate(rules) for direction in (FORWARD, REVERSE)]
     out = []
     seen = set()
-    for path, subject in preorder_paths(t):
-        for idx, direction, src, dst in oriented:
-            binding = match_subst(src, subject)
-            if binding is None:
-                continue
-            result = replace_at(t, path, substitute(dst, binding))
-            if result not in seen:
-                seen.add(result)
-                out.append((result, TreeStep(idx, direction, path)))
+    for result, step in _rewrites(t, _oriented(rules), ""):
+        if result not in seen:
+            seen.add(result)
+            out.append((result, step))
     return out
 
 
@@ -229,7 +220,7 @@ def search_tree_equivalence(
     same variables on both sides (otherwise the reversed orientation
     would have unbound variables and infinitely many instances).
     """
-    _check_reversible(rules)  # also when a == b, which expands nothing
+    _oriented(rules)  # also when a == b, which expands nothing
     return SearchOutcome(*class_search(
         a,
         b,

@@ -256,6 +256,26 @@ class TestErrors:
         assert main(["seq", "--kind", "tm", "--n", "10"]) == 1
         assert capsys.readouterr() == ("", "wordproblem: error: out of memory\n")
 
+    @staticmethod
+    def dihedral(tmp_path, n):
+        path = tmp_path / f"d{n}.txt"
+        path.write_text(f"gens: a b\nrel: {'a' * n}\nrel: bb\nrel: abab\n")
+        return str(path)
+
+    def test_delta_refuses_more_than_256_cosets(self, tmp_path, capsys):
+        argv = ["cayley", "--presentation", self.dihedral(tmp_path, 129), "--delta"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "wordproblem: error: --delta takes at most 256 "
+                                           "cosets, the table has 258\n")
+        assert main(argv[:-1]) == 0
+        assert capsys.readouterr().out == "status: complete\ncosets: 258\n"
+
+    def test_delta_allows_256_cosets(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.cayley, "estimate_delta", lambda graph: len(graph.neighbors))
+        argv = ["cayley", "--presentation", self.dihedral(tmp_path, 128), "--delta"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("status: complete\ncosets: 256\ndelta: ")
+
 
 class TestParser:
     def test_preset_choices_are_the_catalog_tables(self):

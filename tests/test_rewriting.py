@@ -281,6 +281,16 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=f"^line {line}: letter 'x' outside alphabet of size 2$"):
             parse_system(text)
 
+    @pytest.mark.parametrize("text, line", [
+        ("alpha: a b\nkind: thue\nrule: ab -> ba\n", 3),
+        ("rule: ab -> ba\nalpha: a b\nkind: thue\n", 1),
+        ("alpha: a b\nrule: ab -> ba\nrule: ba -> ab\nrule: a -> b\nkind: thue\n", 4),
+    ])
+    def test_missing_swap_names_its_line(self, text, line):
+        message = f"^line {line}: symmetric system is missing the swap of "
+        with pytest.raises(ValueError, match=message):
+            parse_system(text)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             parse_system("alpha: a b\nrule: 1 -> a\n")

@@ -17,6 +17,11 @@ from wordproblem.sequences import (
 TM32 = "01101001100101101001011001101001"
 
 
+def bit_parity_prefix(n):
+    """Thue-Morse oracle: letter k is the parity of the 1 bits of k."""
+    return "".join("01"[k.bit_count() & 1] for k in range(n))
+
+
 class TestThueMorse:
     def test_32_letter_prefix(self):
         assert thue_morse_prefix(32) == TM32
@@ -28,6 +33,14 @@ class TestThueMorse:
     def test_agrees_with_morphism_fixed_point(self):
         n = 2 ** 14
         assert thue_morse_prefix(n) == fixed_point_prefix(THUE_MORSE_MORPHISM, n)
+
+    def test_agrees_with_bit_parity(self):
+        for n in [*range(301), 2 ** 14]:
+            assert thue_morse_prefix(n) == bit_parity_prefix(n), n
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="^length must be >= 0$"):
+            thue_morse_prefix(-1)
 
     def test_cube_free_prefix(self):
         ok, witness = is_power_free(thue_morse_prefix(2 ** 12), 3)

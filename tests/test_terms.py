@@ -1,7 +1,10 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordproblem.rewriting import RewriteSystem, search_equivalence, thue_closure
 from wordproblem.search import DerivationTrace, SearchStatus
@@ -20,7 +23,6 @@ from wordproblem.terms import (
     parse_term,
     parse_tree_rule,
     parse_tree_rules,
-    preorder_paths,
     replay_tree_trace,
     search_tree_equivalence,
     substitute,
@@ -282,6 +284,20 @@ class TestSuccessorsDeterminism:
         assert term_size(Node(A, B)) == 3
 
 
+def preorder_paths(t):
+    """Every (path, subterm) pair of t in preorder: the order oracle."""
+    out = []
+
+    def walk(sub, path):
+        out.append((path, sub))
+        if isinstance(sub, Node):
+            walk(sub.left, path + "L")
+            walk(sub.right, path + "R")
+
+    walk(t, "")
+    return out
+
+
 def preorder_rank(t, path):
     order = [p for p, _ in preorder_paths(t)]
     return order.index(path)
@@ -342,3 +358,180 @@ def test_rule_errors_name_their_line(text, message):
     with pytest.raises(ValueError) as info:
         parse_tree_rules(text)
     assert str(info.value).startswith(message)
+
+
+# Reference rewriting: one walk per question (list the redex positions,
+# fetch the subterm, rebuild from the root), kept as the oracle for the
+# single-walk successor generator and the spine walk of apply_tree_rule.
+
+
+def oracle_match_subst(pattern, subject):
+    binding = {}
+
+    def walk(p, s):
+        if isinstance(p, Leaf):
+            if p.is_var():
+                if p.tag is not None and not (isinstance(s, Leaf) and s.tag == p.tag):
+                    return False
+                if p.name in binding:
+                    return binding[p.name] == s
+                binding[p.name] = s
+                return True
+            return isinstance(s, Leaf) and s == p
+        return isinstance(s, Node) and walk(p.left, s.left) and walk(p.right, s.right)
+
+    return binding if walk(pattern, subject) else None
+
+
+def oracle_subterm_at(t, path):
+    for d in path:
+        if not isinstance(t, Node):
+            raise ValueError(f"path {path!r} leaves the tree")
+        if d == "L":
+            t = t.left
+        elif d == "R":
+            t = t.right
+        else:
+            raise ValueError(f"path direction must be L or R, got {d!r}")
+    return t
+
+
+def oracle_replace_at(t, path, replacement):
+    if not path:
+        return replacement
+    if not isinstance(t, Node):
+        raise ValueError(f"path {path!r} leaves the tree")
+    if path[0] == "L":
+        return Node(oracle_replace_at(t.left, path[1:], replacement), t.right)
+    if path[0] == "R":
+        return Node(t.left, oracle_replace_at(t.right, path[1:], replacement))
+    raise ValueError(f"path direction must be L or R, got {path[0]!r}")
+
+
+def oracle_sides(rule, direction):
+    if direction == FORWARD:
+        return rule.lhs, rule.rhs
+    if direction == REVERSE:
+        return rule.rhs, rule.lhs
+    raise ValueError(f"direction must be {FORWARD!r} or {REVERSE!r}")
+
+
+def oracle_apply_tree_rule(t, rule, path, direction=FORWARD):
+    src, dst = oracle_sides(rule, direction)
+    subject = oracle_subterm_at(t, path)
+    binding = oracle_match_subst(src, subject)
+    if binding is None:
+        raise ValueError(f"rule does not match at path {path!r}")
+    return oracle_replace_at(t, path, substitute(dst, binding))
+
+
+def oracle_tree_successors(t, rules):
+    for idx, rule in enumerate(rules):
+        if not rule.is_reversible():
+            raise ValueError(
+                f"rule {idx} cannot be applied in reverse: "
+                "its sides carry different variables"
+            )
+    oriented = [(idx, direction, *oracle_sides(rule, direction))
+                for idx, rule in enumerate(rules) for direction in (FORWARD, REVERSE)]
+    out = []
+    seen = set()
+    for path, subject in preorder_paths(t):
+        for idx, direction, src, dst in oriented:
+            binding = oracle_match_subst(src, subject)
+            if binding is None:
+                continue
+            result = oracle_replace_at(t, path, substitute(dst, binding))
+            if result not in seen:
+                seen.add(result)
+                out.append((result, TreeStep(idx, direction, path)))
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+GROUND = [A, B, Leaf("A", "p"), Leaf("B", "q"), Leaf("?x")]
+PATTERN_VARS = [Leaf("?x"), Leaf("?y"), Leaf("?x", "p"), Leaf("?z", "q")]
+
+
+def term_trees(leaves, max_leaves):
+    return st.recursive(st.sampled_from(leaves), lambda kids: st.builds(Node, kids, kids),
+                        max_leaves=max_leaves)
+
+
+PATTERNS = term_trees(GROUND[:4] + PATTERN_VARS, 6)
+
+
+def bind_or_drop(t, bound):
+    """t with every variable outside bound replaced by the leaf A."""
+    if isinstance(t, Node):
+        return Node(bind_or_drop(t.left, bound), bind_or_drop(t.right, bound))
+    return A if t.is_var() and t.name not in bound else t
+
+
+@st.composite
+def tree_rules(draw):
+    """A rule whose right side uses only variables of the left side, so
+    that it builds; some drop one and are not reversible."""
+    lhs = draw(PATTERNS)
+    return TreeRule(lhs, bind_or_drop(draw(PATTERNS), variables(lhs)))
+
+
+@given(term_trees(GROUND, 14), st.lists(tree_rules(), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_successors_match_the_preorder_oracle(t, rules):
+    # the same list in the same order with the same first witnesses, or
+    # the same error for a rule that cannot be reversed
+    assert outcome(tree_successors, t, rules) == outcome(oracle_tree_successors, t, rules)
+    rules = [rule for rule in rules if rule.is_reversible()]
+    assert outcome(tree_successors, t, rules) == outcome(oracle_tree_successors, t, rules)
+
+
+PATHS = ["".join(p) for n in range(4) for p in itertools.product("LRX", repeat=n)]
+
+
+@given(term_trees(GROUND, 14), tree_rules())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_apply_tree_rule_matches_the_oracle(t, rule):
+    for path in PATHS:
+        for direction in (FORWARD, REVERSE, "sideways"):
+            got = outcome(apply_tree_rule, t, rule, path, direction)
+            assert got == outcome(oracle_apply_tree_rule, t, rule, path, direction)
+
+
+@given(term_trees(GROUND + PATTERN_VARS, 8), term_trees(GROUND, 14))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_match_subst_matches_the_oracle(pattern, subject):
+    assert match_subst(pattern, subject) == oracle_match_subst(pattern, subject)
+
+
+@pytest.mark.parametrize("t,rules", [
+    # every position rewrites to t itself: only the root's forward step stays
+    (parse_term("((A B) (A B))"), [TreeRule(Leaf("?x"), Leaf("?x"))]),
+    # forward and reverse agree at each position, forward is kept
+    (parse_term("((A B) C)"), [parse_tree_rule("(?x ?y) => (?y ?x)")]),
+    # the left child is rewritten before the right one
+    (parse_term("((A B) (B A))"), [parse_tree_rule("(A B) => (B A)")]),
+])
+def test_successor_order_and_first_witness(t, rules):
+    assert tree_successors(t, rules) == oracle_tree_successors(t, rules)
+
+
+def test_apply_tree_rule_at_depth_3000():
+    depth = 3000
+    t = parse_term("((A B) C)")
+    for _ in range(depth):
+        t = Node(t, D)
+    rewritten = apply_tree_rule(t, ASSOCIATIVITY, "L" * depth)
+    # == would recurse through the whole spine, so walk it instead
+    for _ in range(depth):
+        assert isinstance(rewritten, Node) and rewritten.right is D
+        rewritten = rewritten.left
+    assert rewritten == Node(A, Node(B, C))
+    with pytest.raises(ValueError, match="^rule does not match at path 'LLL"):
+        apply_tree_rule(t, ASSOCIATIVITY, "L" * depth + "R")
