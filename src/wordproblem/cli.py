@@ -200,9 +200,11 @@ def cmd_seq(args) -> int:
         word = sequences.thue_morse_prefix(args.n)
     else:
         word = sequences.square_free_ternary_prefix(args.n)
+    # checked before the word is printed, so an invalid power prints nothing
+    check = None if args.check is None else sequences.is_power_free(word, args.check)
     _show(args, "word", word)
-    if args.check is not None:
-        ok, witness = sequences.is_power_free(word, args.check)
+    if check is not None:
+        ok, witness = check
         _show(args, "powerfree", args.check, "true" if ok else "false", *(witness or ()))
     return EXIT_OK
 
@@ -214,6 +216,7 @@ _DELTA_MAX_COSETS = 256
 
 def cmd_cayley(args) -> int:
     p = _group_presentation(args)
+    w = None if args.word is None else parse_word(args.word, p.n_gens)
     table = cayley.todd_coxeter(p, args.max_cosets)
     complete = table.status is cayley.TableStatus.COMPLETE
     if args.delta and complete and table.n_cosets > _DELTA_MAX_COSETS:
@@ -224,8 +227,7 @@ def cmd_cayley(args) -> int:
     if not complete:
         return EXIT_UNDECIDED
     graph = cayley.to_cayley_graph(table)
-    if args.word is not None:
-        w = parse_word(args.word, p.n_gens)
+    if w is not None:
         answer = "trivial" if cayley.word_problem_finite(w, graph) else "nontrivial"
         _show(args, f"word {args.word}", answer)
     if args.delta:
@@ -248,10 +250,10 @@ def cmd_tm_run(args) -> int:
 
 def cmd_tm_encode(args) -> int:
     m = _source(args, reductions.tm_catalog, reductions.parse_machine)
+    tape = None if args.input is None else reductions.parse_tape(args.input, m)
     enc = reductions.encode(m)
     print(f"# halt-word: {enc.halt_word}")
-    if args.input is not None:
-        tape = reductions.parse_tape(args.input, m)
+    if tape is not None:
         print(f"# start-word: {enc.start_word(tape)}")
     print(rewriting.format_system(enc.system), end="")
     return EXIT_OK

@@ -132,8 +132,11 @@ def dehn_solve(w: Word, p: GroupPresentation) -> DehnOutcome:
 
     A presentation with no relators leaves nothing to replace; free
     reduction then decides the word problem outright, so nonempty
-    reduced words are certified nontrivial.
+    reduced words are certified nontrivial.  Every letter of w must name
+    one of the presentation's generators.
     """
+    if w and max(w).index >= p.n_gens:
+        raise ValueError(f"letter index {max(w).index} out of range for {p.n_gens} generators")
     s = symmetrize(p)
     current = free_reduce(w)
     trace = []

@@ -145,16 +145,16 @@ def search_equivalence(
             idx, pos = step
             return (swap[idx], pos)
 
-        return SearchOutcome(
-            *class_search(w1, w2, succ, reverse_step, lambda w: (len(w), w), budget)
-        )
-    return SearchOutcome(*forward_search(w1, w2, succ, budget))
+        return class_search(w1, w2, succ, reverse_step, lambda w: (len(w), w), budget)
+    return forward_search(w1, w2, succ, budget)
 
 
 def rewrite_bounded(w: str, sys: RewriteSystem, max_steps: int) -> DerivationTrace:
     """Deterministic rewriting: repeatedly take the first successor
     (leftmost position, lowest rule index) until none applies or the
     step limit is reached."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     check_letters(w, sys.alphabet_size)
     start = w
     steps = []

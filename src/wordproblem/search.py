@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 
 class SearchStatus(enum.Enum):
@@ -54,8 +54,7 @@ class DerivationTrace:
     end: object
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Status plus (for PROVEN) a derivation trace and run statistics."""
 
     status: SearchStatus
@@ -82,7 +81,7 @@ def forward_search(
     goal,
     successors_of: Callable[[object], Iterable[Tuple[object, object]]],
     budget: int,
-) -> Tuple[SearchStatus, Optional[DerivationTrace], SearchStats]:
+) -> SearchOutcome:
     """BFS reachability from start to goal; steps come from successors_of."""
     return _search(start, goal, successors_of, None, budget)
 
@@ -94,7 +93,7 @@ def class_search(
     reverse_step: Callable[[object], object],
     sort_key: Callable[[object], object],
     budget: int,
-) -> Tuple[SearchStatus, Optional[DerivationTrace], SearchStats]:
+) -> SearchOutcome:
     """Bidirectional BFS over the class of a symmetric rewrite relation.
 
     successors_of must enumerate one-step neighbours deterministically;
@@ -105,21 +104,22 @@ def class_search(
     # the budget check and the equal-ends shortcut come before any sort key
     if budget < 1 or start == goal or not sort_key(goal) < sort_key(start):
         return _search(start, goal, successors_of, reverse_step, budget)
-    status, trace, stats = _search(goal, start, successors_of, reverse_step, budget)
-    if trace is not None:
-        steps = tuple(reverse_step(s) for s in reversed(trace.steps))
-        trace = DerivationTrace(start, steps, goal)
-    return status, trace, stats
+    outcome = _search(goal, start, successors_of, reverse_step, budget)
+    if outcome.trace is not None:
+        steps = tuple(reverse_step(s) for s in reversed(outcome.trace.steps))
+        outcome = outcome._replace(trace=DerivationTrace(start, steps, goal))
+    return outcome
 
 
-def _search(a, b, successors_of, reverse_step, budget):
+def _search(a, b, successors_of, reverse_step, budget) -> SearchOutcome:
     """The breadth-first loop from a toward b.  Side 0 grows from a; side 1
     grows from b only when reverse_step is given, and otherwise holds b
     alone, so reaching b is the meet."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if a == b:
-        return SearchStatus.PROVEN, DerivationTrace(a, (), b), SearchStats(0, 0, 0)
+        return SearchOutcome(SearchStatus.PROVEN, DerivationTrace(a, (), b),
+                             SearchStats(0, 0, 0))
     one_sided = reverse_step is None
     # state -> None at the root, else (parent, step): side 0 records the
     # step from parent to state, side 1 the step from state to parent
@@ -131,7 +131,8 @@ def _search(a, b, successors_of, reverse_step, budget):
     meet = None
     while meet is None and fronts[0] and (one_sided or fronts[1]):
         if expanded >= budget:
-            return SearchStatus.BUDGET_EXHAUSTED, None, SearchStats(expanded, peak, max_depth)
+            return SearchOutcome(SearchStatus.BUDGET_EXHAUSTED, None,
+                                 SearchStats(expanded, peak, max_depth))
         side = 0 if one_sided or len(fronts[0]) <= len(fronts[1]) else 1
         mine, theirs, frontier = visited[side], visited[1 - side], fronts[side]
         state, depth = frontier.popleft()
@@ -149,9 +150,9 @@ def _search(a, b, successors_of, reverse_step, budget):
 
     stats = SearchStats(expanded, peak, max_depth)
     if meet is None:
-        return SearchStatus.REFUTED_EXHAUSTED, None, stats
+        return SearchOutcome(SearchStatus.REFUTED_EXHAUSTED, None, stats)
     steps = _walk_back(visited[0], meet) + _walk_back(visited[1], meet)[::-1]
-    return SearchStatus.PROVEN, DerivationTrace(a, tuple(steps), b), stats
+    return SearchOutcome(SearchStatus.PROVEN, DerivationTrace(a, tuple(steps), b), stats)
 
 
 def _walk_back(visited, state) -> List[object]:

@@ -2,7 +2,8 @@
 
 Terms are finite binary trees: every internal node has exactly two
 children and carries no symbol of its own (a single binary constructor);
-leaves carry an identifier plus an optional type tag.  Leaf names
+leaves carry an identifier plus an optional type tag.  Leaf and Node are
+named tuples, so hashing and equality run in CPython's tuple code.  Leaf names
 beginning with '?' are pattern variables; a tagged variable only matches
 a leaf with the same tag, an untagged variable matches any subterm.
 
@@ -22,14 +23,13 @@ parenthesized pairs: ((A B) C).  Rules are written 'lhs => rhs'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .search import DerivationTrace, SearchOutcome, class_search, replay
 from .words import declarations
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     name: str
     tag: Optional[str] = None
 
@@ -37,8 +37,7 @@ class Leaf:
         return self.name.startswith("?")
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     left: "Term"
     right: "Term"
 
@@ -49,8 +48,7 @@ FORWARD = "fwd"
 REVERSE = "rev"
 
 
-@dataclass(frozen=True)
-class TreeStep:
+class TreeStep(NamedTuple):
     rule: int
     direction: str  # FORWARD applies lhs->rhs, REVERSE applies rhs->lhs
     path: str
@@ -97,7 +95,7 @@ def _match(p: Term, s: Term, binding: Dict[str, Term]) -> bool:
                 return binding[p.name] == s
             binding[p.name] = s
             return True
-        return isinstance(s, Leaf) and s == p
+        return s == p  # a Node, a pair of terms, never equals a Leaf
     return (isinstance(s, Node) and _match(p.left, s.left, binding)
             and _match(p.right, s.right, binding))
 
@@ -221,14 +219,14 @@ def search_tree_equivalence(
     would have unbound variables and infinitely many instances).
     """
     _oriented(rules)  # also when a == b, which expands nothing
-    return SearchOutcome(*class_search(
+    return class_search(
         a,
         b,
         lambda t: tree_successors(t, rules),
         TreeStep.reversed,
         lambda t: (term_size(t), format_term(t)),
         budget,
-    ))
+    )
 
 
 def format_term(t: Term) -> str:

@@ -216,6 +216,22 @@ class TestErrors:
         path.write_text("states: 1\nsymbols: " + " ".join("abcdefghijklmnopqrstuvwxyz{") + "\n")
         self.assert_one_error_line(run("tm-run", "--machine", str(path), "--input", "{{"))
 
+    @pytest.mark.parametrize("argv", [
+        ("cayley", "--preset", "dihedral5", "--word", "z"),
+        ("cayley", "--preset", "dihedral5", "--max-cosets", "3", "--word", "z"),
+        ("seq", "--kind", "sf3", "--n", "10", "--check", "0"),
+        ("tm-encode", "--preset", "loop_right", "--input", "c"),
+    ])
+    def test_argument_checked_before_any_output(self, argv):
+        self.assert_one_error_line(run(*argv))
+
+    def test_negative_step_limit(self, tmp_path):
+        path = tmp_path / "sys.txt"
+        path.write_text("alpha: a b\nkind: semithue\nrule: ab -> b\n")
+        result = run("rewrite", "--sys", str(path), "ab", "--max-steps", "-1")
+        self.assert_one_error_line(result)
+        assert result.stderr == "wordproblem: error: max_steps must be >= 0\n"
+
     def test_relator_error_names_its_line(self, tmp_path):
         path = tmp_path / "pres.txt"
         path.write_text("gens: a b\nrel: abc\n")

@@ -184,6 +184,17 @@ class TestDehnSolve:
             if outcome.verdict is Verdict.TRIVIAL:
                 assert exponent_vector(word, 4) == (0, 0, 0, 0)
 
+    def test_letter_outside_the_presentation(self):
+        # also a letter that cancels, and also without relators
+        for word in ("z", "abz", "zZ"):
+            with pytest.raises(ValueError,
+                               match="^letter index 25 out of range for 4 generators$"):
+                dehn_solve(w(word), SURFACE2)
+        with pytest.raises(ValueError, match="^letter index 2 out of range for 2 generators$"):
+            dehn_solve(w("ac"), GroupPresentation(2, ()))
+        assert dehn_solve(w("dD"), SURFACE2).verdict is Verdict.TRIVIAL
+        assert dehn_solve(EPSILON, SURFACE2).verdict is Verdict.TRIVIAL
+
     def test_determinism(self):
         rng = random.Random(25)
         for _ in range(100):

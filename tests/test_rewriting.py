@@ -263,6 +263,12 @@ class TestRewriteBounded:
         trace = rewrite_bounded("a", sys, 5)
         assert len(trace.steps) == 5
 
+    def test_negative_step_limit_rejected(self):
+        sys = RewriteSystem(1, (("a", "aa"),))
+        with pytest.raises(ValueError, match="^max_steps must be >= 0$"):
+            rewrite_bounded("a", sys, -1)
+        assert rewrite_bounded("a", sys, 0) == DerivationTrace("a", (), "a")
+
 
 class TestTextFormat:
     def test_round_trip(self):

@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
+from wordproblem.rewriting import RewriteSystem, SystemKind, search_equivalence
 from wordproblem.search import (
     DerivationTrace,
+    SearchOutcome,
     SearchStats,
     SearchStatus,
     class_search,
     forward_search,
     replay,
 )
+from wordproblem.terms import ASSOCIATIVITY, parse_term, search_tree_equivalence
 
 
 def add(n, step):
@@ -65,6 +68,32 @@ class TestClassSearchTrace:
         assert status is SearchStatus.PROVEN
         assert trace == DerivationTrace(4, (), 4)
         assert stats.expanded == 0
+
+
+def cycle_successors(n):
+    return [((n + 1) % 10, 1), ((n - 1) % 10, -1)]
+
+
+@pytest.mark.parametrize("search", [
+    lambda: forward_search(0, 3, cycle_successors, 100),
+    # 7 sorts after 2, so the class search runs from the start...
+    lambda: class_search(2, 7, cycle_successors, lambda s: -s, lambda n: n, 100),
+    # ...and here from the goal, re-orienting the trace
+    lambda: class_search(7, 2, cycle_successors, lambda s: -s, lambda n: n, 100),
+    lambda: search_equivalence("ab", "ba", RewriteSystem(2, (("ab", "ba"),)), 10),
+    lambda: search_equivalence(
+        "ab", "ba", RewriteSystem(2, (("ab", "ba"), ("ba", "ab")), SystemKind.THUE), 10),
+    lambda: search_tree_equivalence(
+        parse_term("(A (B C))"), parse_term("((A B) C)"), [ASSOCIATIVITY], 10),
+], ids=["forward", "class-from-start", "class-from-goal", "semithue", "thue", "tree"])
+def test_every_entry_point_returns_a_search_outcome(search):
+    outcome = search()
+    assert type(outcome) is SearchOutcome
+    status, trace, stats = outcome
+    assert (outcome[0], outcome[1], outcome[2]) == (status, trace, stats)
+    assert (outcome.status, outcome.trace, outcome.stats) == (status, trace, stats)
+    assert status is SearchStatus.PROVEN and isinstance(stats, SearchStats)
+    assert trace.steps and trace.start != trace.end
 
 
 # ---------------------------------------------------------------- oracles

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordproblem.rewriting import RewriteSystem, search_equivalence, thue_closure
-from wordproblem.search import DerivationTrace, SearchStatus
+from wordproblem.search import DerivationTrace, SearchStats, SearchStatus
 from wordproblem.terms import (
     ASSOCIATIVITY,
     FORWARD,
@@ -183,6 +184,36 @@ class TestSearch:
             search_tree_equivalence(a, c, [ASSOCIATIVITY], 1000).status
             is SearchStatus.REFUTED_EXHAUSTED
         )
+
+
+def left_comb(names):
+    return functools.reduce(Node, map(Leaf, names))
+
+
+def right_comb(names):
+    return functools.reduce(lambda t, leaf: Node(leaf, t), map(Leaf, reversed(names)))
+
+
+class TestEightLeaves:
+    """Figures of the 8-leaf associativity searches, pinned so that the
+    term representation cannot change the search."""
+
+    NAMES = "ABCDEFGH"
+
+    def test_comb_rotation_refuted(self):
+        a, b = left_comb(self.NAMES), left_comb(self.NAMES[1:] + self.NAMES[0])
+        outcome = search_tree_equivalence(a, b, [ASSOCIATIVITY], 10**6)
+        assert (outcome.status, outcome.trace, outcome.stats) == (
+            SearchStatus.REFUTED_EXHAUSTED, None, SearchStats(590, 264, 6))
+
+    def test_rebracketing_proven_and_replayed(self):
+        a, b = left_comb(self.NAMES), right_comb(self.NAMES)
+        assert format_term(b) == "(A (B (C (D (E (F (G H)))))))"
+        outcome = search_tree_equivalence(a, b, [ASSOCIATIVITY], 10**6)
+        assert outcome.status is SearchStatus.PROVEN
+        assert outcome.stats == SearchStats(16, 43, 2)
+        assert (outcome.trace.start, len(outcome.trace.steps)) == (a, 6)
+        assert replay_tree_trace([ASSOCIATIVITY], outcome.trace) == b
 
 
 class TestCombEmbedding:
