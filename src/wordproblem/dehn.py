@@ -13,27 +13,36 @@ a position the longest matching majority prefix wins, remaining ties go
 to the lowest relator index.  b may be empty (a whole relator maps to
 the empty word).
 
-Cost.  Each relator is indexed once per call by its shortest majority
-prefix r[:|r|//2 + 1]; a majority match at a position exists exactly
-when one of these prefixes starts there, so a position costs one dict
-lookup per distinct prefix length.  After a replacement only the two
-seams (left part against b^-1, then against the right part) are freely
-reduced, and the scan resumes just left of the first changed letter:
-windows further left are unchanged and were already rejected (Domanski
-and Anshel, J. Algorithms 1985).  So for a fixed presentation the
-positions scanned are linear in |w|; each replacement also rebuilds the
-word tuple once, a copy done in C.
+Cost.  A presentation is prepared once and kept in a small cache keyed
+on the presentation: its relators are coded as strings, one character
+per letter, closed under cyclic shifts and inversion, and indexed by
+their shortest majority prefix r[:|r|//2 + 1]; the C'(1/6) certificate
+is computed when first needed and kept with them.  A call codes the
+word once, so the input's free reduction, the scan and the seam
+reduction compare characters, slicing and concatenation are copies done
+in C, and the final word is decoded once at the end.  A majority match
+at a position exists exactly when one of the prefixes starts there, so
+a position costs one dict lookup per distinct prefix length.  After a
+replacement only the two seams (left part against b^-1, then against
+the right part) are freely reduced, and the scan resumes just left of
+the first changed letter: windows further left are unchanged and were
+already rejected (Domanski and Anshel, J. Algorithms 1985).  So for a
+fixed presentation the positions scanned are linear in |w|; each
+replacement also copies the word string once.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Tuple
 
-from .presentations import GroupPresentation, SymmetrizedRelators, max_piece_ratio, symmetrize
-from .words import Word, free_reduce, invert
+from .presentations import GroupPresentation, SymmetrizedRelators, piece_ratio, symmetric_closure
+from .words import GenLetter, Word, free_reduce, invert
 
 
 class Verdict(enum.Enum):
@@ -56,16 +65,102 @@ class DehnOutcome:
     final_word: Word
 
 
-def _majority_index(s: SymmetrizedRelators) -> list:
-    """[(h, {r[:h]: [(idx, r), ...]})] with h = |r|//2 + 1, by increasing h."""
-    groups: dict = {}
-    for idx, r in enumerate(s.words):
-        h = len(r) // 2 + 1
-        groups.setdefault(h, {}).setdefault(r[:h], []).append((idx, r))
-    return sorted(groups.items())
+class _Prepared:
+    """Relators made ready for the solver: the coded words, their coded
+    inverses and the majority index over the codes.
+
+    A generator gets two codes, chr(2k) for itself and chr(2k + 1) for
+    its inverse, with k counting generators in the order they first
+    occur; so a letter cancels the next one exactly when their codes
+    differ in the lowest bit.  Only generators that occur get codes, so
+    the code range depends on the relators, not on the number of
+    generators.
+    """
+
+    def __init__(self, relators: Tuple[Word, ...], symmetric: bool):
+        """With symmetric, the coded words are the relators' symmetric
+        closure, in symmetrize's order; otherwise they are the relators
+        as they stand."""
+        self.encode, self.decode = _extend({}, {}, chain.from_iterable(relators))
+        flip = {i: i ^ 1 for i in range(len(self.decode))}
+
+        def inverse(r: str) -> str:
+            return r[::-1].translate(flip)
+
+        self.words = [_code(r, self.encode) for r in relators]
+        if symmetric:
+            self.words = symmetric_closure(self.words, inverse)
+        self.inverses = [inverse(r) for r in self.words]
+        # [(h, {r[:h]: [(idx, r), ...]})] with h = |r|//2 + 1, by increasing h
+        groups: dict = {}
+        for idx, r in enumerate(self.words):
+            h = len(r) // 2 + 1
+            groups.setdefault(h, {}).setdefault(r[:h], []).append((idx, r))
+        self.index = sorted(groups.items())
+
+    @functools.cached_property
+    def certified(self) -> bool:
+        """C'(1/6), which makes a word the solver leaves nonempty
+        nontrivial; computed on first need, as a word that reduces to
+        the empty word needs no certificate."""
+        return not self.words or piece_ratio(self.words) < Fraction(1, 6)
 
 
-def _scan(w: Word, start: int, index: list) -> Optional[DehnStep]:
+@functools.lru_cache(maxsize=16)
+def _prepare(p: GroupPresentation) -> _Prepared:
+    return _Prepared(p.relators, symmetric=True)
+
+
+def _code(w: Word, encode: dict) -> str:
+    return "".join(map(encode.__getitem__, w))
+
+
+def _extend(encode: dict, decode: dict, letters) -> Tuple[dict, dict]:
+    """The code tables, copied and extended if some of the letters' generators
+    have no codes yet; each new letter must be a generator or its inverse."""
+    new = [x for x in dict.fromkeys(letters) if x not in encode]
+    if new:
+        encode, decode = dict(encode), dict(decode)
+    for letter in new:
+        index, sign = letter
+        if sign not in (1, -1) or index < 0:
+            raise ValueError(f"malformed letter {letter!r}")
+        if letter not in encode:  # else its inverse came first
+            k = len(encode)
+            for code, x in ((chr(k), GenLetter(index, 1)), (chr(k + 1), GenLetter(index, -1))):
+                encode[x] = code
+                decode[code] = x
+    return encode, decode
+
+
+def _coded(w: Word, prep: _Prepared, n_gens: Optional[int] = None) -> Tuple[str, dict]:
+    """w as codes, and the table that decodes them.  With n_gens, every
+    letter must name one of n_gens generators."""
+    try:
+        return _code(w, prep.encode), prep.decode
+    except KeyError:
+        pass
+    if n_gens is not None and max(w).index >= n_gens:
+        raise ValueError(f"letter index {max(w).index} out of range for {n_gens} generators")
+    encode, decode = _extend(prep.encode, prep.decode, w)
+    return _code(w, encode), decode
+
+
+def _free_reduce(w: str) -> str:
+    # most words arrive reduced, and a pass in C finds that they are
+    flip = {i: i ^ 1 for i in range(ord(max(w, default="\0")) + 2)}
+    if not any(map(operator.eq, w[1:], w.translate(flip))):
+        return w
+    out = []
+    for c in w:
+        if out and ord(out[-1]) ^ 1 == ord(c):
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+def _scan(w: str, start: int, index: list) -> Optional[DehnStep]:
     """The leftmost majority match at or after start, longest then lowest index."""
     n = len(w)
     for pos in range(start, n):
@@ -89,27 +184,24 @@ def _scan(w: Word, start: int, index: list) -> Optional[DehnStep]:
     return None
 
 
-def _cancels(x, y) -> bool:
-    return x.index == y.index and x.sign == -y.sign
-
-
-def _replace(w: Word, s: SymmetrizedRelators, step: DehnStep) -> Tuple[Word, int]:
+def _replace(w: str, inverses: list, step: DehnStep) -> Tuple[str, int]:
     """w with the step applied and freely reduced, and the length of the
     prefix of w it keeps unchanged.  w must be freely reduced, so only
     the seams around the inserted b^-1 can cancel."""
-    mid = invert(s.words[step.relator][step.replaced :])
+    inverse = inverses[step.relator]
+    mid = inverse[: len(inverse) - step.replaced]
     left = step.pos
     right = step.pos + step.replaced
     j = 0
-    while left and j < len(mid) and _cancels(w[left - 1], mid[j]):
+    while left and j < len(mid) and ord(w[left - 1]) ^ 1 == ord(mid[j]):
         left -= 1
         j += 1
     t = len(mid)
-    while t > j and right < len(w) and _cancels(mid[t - 1], w[right]):
+    while t > j and right < len(w) and ord(mid[t - 1]) ^ 1 == ord(w[right]):
         t -= 1
         right += 1
     if t == j:
-        while left and right < len(w) and _cancels(w[left - 1], w[right]):
+        while left and right < len(w) and ord(w[left - 1]) ^ 1 == ord(w[right]):
             left -= 1
             right += 1
     return w[:left] + mid[j:t] + w[right:], left
@@ -121,10 +213,12 @@ def dehn_step(w: Word, s: SymmetrizedRelators) -> Optional[Tuple[Word, DehnStep]
     w must be freely reduced; the result is freely reduced and strictly
     shorter.
     """
-    step = _scan(w, 0, _majority_index(s))
+    prep = _Prepared(s.words, symmetric=False)
+    code, decode = _coded(w, prep)
+    step = _scan(code, 0, prep.index)
     if step is None:
         return None
-    return _replace(w, s, step)[0], step
+    return tuple(map(decode.__getitem__, _replace(code, prep.inverses, step)[0])), step
 
 
 def dehn_solve(w: Word, p: GroupPresentation) -> DehnOutcome:
@@ -135,30 +229,28 @@ def dehn_solve(w: Word, p: GroupPresentation) -> DehnOutcome:
     reduced words are certified nontrivial.  Every letter of w must name
     one of the presentation's generators.
     """
-    if w and max(w).index >= p.n_gens:
-        raise ValueError(f"letter index {max(w).index} out of range for {p.n_gens} generators")
-    s = symmetrize(p)
-    current = free_reduce(w)
+    prep = _prepare(p)
+    code, decode = _coded(w, prep, p.n_gens)
+    current = _free_reduce(code)
     trace = []
-    if s.words:
-        index = _majority_index(s)
+    if prep.index:
         # positions left of cut - h_max + 1 see only unchanged letters
-        reach = index[-1][0] - 1
+        reach = prep.index[-1][0] - 1
         start = 0
         while current:
-            step = _scan(current, start, index)
+            step = _scan(current, start, prep.index)
             if step is None:
                 break
-            current, cut = _replace(current, s, step)
+            current, cut = _replace(current, prep.inverses, step)
             trace.append(step)
             start = max(0, cut - reach)
     if not current:
         verdict = Verdict.TRIVIAL
-    elif not s.words or max_piece_ratio(s) < Fraction(1, 6):
+    elif prep.certified:
         verdict = Verdict.NONTRIVIAL_CERTIFIED
     else:
         verdict = Verdict.INCONCLUSIVE
-    return DehnOutcome(verdict, tuple(trace), current)
+    return DehnOutcome(verdict, tuple(trace), tuple(map(decode.__getitem__, current)))
 
 
 def replay_dehn_trace(w: Word, s: SymmetrizedRelators, trace) -> Word:

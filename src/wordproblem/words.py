@@ -136,6 +136,13 @@ def format_word(w: Word) -> str:
     return "".join([c if letter.sign > 0 else c.upper() for c, letter in zip(names, w)])
 
 
+_PARSED = {
+    c: GenLetter(i, sign)
+    for sign, names in ((1, LETTERS), (-1, LETTERS.upper()))
+    for i, c in enumerate(names)
+}
+
+
 def parse_word(text: str, n_gens: Optional[int] = None) -> Word:
     """Parse the textual form; "1" (or "") is the empty word.
 
@@ -144,22 +151,17 @@ def parse_word(text: str, n_gens: Optional[int] = None) -> Word:
     text = text.strip()
     if text in ("", "1"):
         return EPSILON
-    letters = []
-    for c in text:
-        if "a" <= c <= "z":
-            letters.append(GenLetter(ord(c) - ord("a"), 1))
-        elif "A" <= c <= "Z":
-            letters.append(GenLetter(ord(c) - ord("A"), -1))
-        else:
-            raise ValueError(f"invalid character {c!r} in word {text!r}")
-    if n_gens is not None:
-        for letter in letters:
-            if letter.index >= n_gens:
-                raise ValueError(
-                    f"letter {format_word((letter,))!r} out of range "
-                    f"for {n_gens} generators"
-                )
-    return tuple(letters)
+    try:
+        letters = tuple(map(_PARSED.__getitem__, text))
+    except KeyError:
+        c = next(c for c in text if c not in _PARSED)
+        raise ValueError(f"invalid character {c!r} in word {text!r}") from None
+    if n_gens is not None and max(letters).index >= n_gens:
+        letter = next(x for x in letters if x.index >= n_gens)
+        raise ValueError(
+            f"letter {format_word((letter,))!r} out of range for {n_gens} generators"
+        )
+    return letters
 
 
 def commutator(a: Word, b: Word) -> Word:

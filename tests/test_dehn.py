@@ -1,11 +1,14 @@
 import functools
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
+from wordproblem import dehn
 from wordproblem.cayley import to_cayley_graph, todd_coxeter
 from wordproblem.dehn import (
     DehnOutcome,
@@ -16,10 +19,12 @@ from wordproblem.dehn import (
     replay_dehn_trace,
 )
 from wordproblem.presentations import (
+    CATALOG,
     GroupPresentation,
     SymmetrizedRelators,
     catalog,
     max_piece_ratio,
+    piece_ratio,
     symmetrize,
 )
 from wordproblem.words import (
@@ -82,6 +87,96 @@ def oracle_dehn_solve(word, p):
             current[: found.pos] + invert(b) + current[found.pos + found.replaced :]
         )
         trace.append(found)
+    if not current:
+        verdict = Verdict.TRIVIAL
+    elif not s.words or max_piece_ratio(s) < Fraction(1, 6):
+        verdict = Verdict.NONTRIVIAL_CERTIFIED
+    else:
+        verdict = Verdict.INCONCLUSIVE
+    return DehnOutcome(verdict, tuple(trace), current)
+
+
+# The solver on letter tuples, as it was before it ran on code strings:
+# the same index, scan and seam reduction, each step rebuilding the tuple.
+
+
+def tuple_majority_index(s):
+    """[(h, {r[:h]: [(idx, r), ...]})] with h = |r|//2 + 1, by increasing h."""
+    groups = {}
+    for idx, r in enumerate(s.words):
+        h = len(r) // 2 + 1
+        groups.setdefault(h, {}).setdefault(r[:h], []).append((idx, r))
+    return sorted(groups.items())
+
+
+def tuple_scan(word, start, index):
+    n = len(word)
+    for pos in range(start, n):
+        best = 0
+        best_idx = -1
+        for h, table in index:
+            if pos + h > n:
+                break
+            hits = table.get(word[pos : pos + h])
+            if hits is None:
+                continue
+            for idx, r in hits:
+                m = h
+                end = min(n - pos, len(r))
+                while m < end and word[pos + m] == r[m]:
+                    m += 1
+                if m > best or (m == best and idx < best_idx):
+                    best, best_idx = m, idx
+        if best_idx >= 0:
+            return DehnStep(best_idx, pos, best)
+    return None
+
+
+def tuple_cancels(x, y):
+    return x.index == y.index and x.sign == -y.sign
+
+
+def tuple_replace(word, s, step):
+    mid = invert(s.words[step.relator][step.replaced :])
+    left = step.pos
+    right = step.pos + step.replaced
+    j = 0
+    while left and j < len(mid) and tuple_cancels(word[left - 1], mid[j]):
+        left -= 1
+        j += 1
+    t = len(mid)
+    while t > j and right < len(word) and tuple_cancels(mid[t - 1], word[right]):
+        t -= 1
+        right += 1
+    if t == j:
+        while left and right < len(word) and tuple_cancels(word[left - 1], word[right]):
+            left -= 1
+            right += 1
+    return word[:left] + mid[j:t] + word[right:], left
+
+
+def tuple_dehn_step(word, s):
+    step = tuple_scan(word, 0, tuple_majority_index(s))
+    if step is None:
+        return None
+    return tuple_replace(word, s, step)[0], step
+
+
+def tuple_dehn_solve(word, p):
+    s = symmetrize(p)
+    current = free_reduce(word)
+    trace = []
+    if s.words:
+        index = tuple_majority_index(s)
+        reach = index[-1][0] - 1
+        start = 0
+        while current:
+            step = tuple_scan(current, start, index)
+            if step is None:
+                break
+            current, cut = tuple_replace(current, s, step)
+            trace.append(step)
+            start = max(0, cut - reach)
     if not current:
         verdict = Verdict.TRIVIAL
     elif not s.words or max_piece_ratio(s) < Fraction(1, 6):
@@ -194,6 +289,25 @@ class TestDehnSolve:
             dehn_solve(w("ac"), GroupPresentation(2, ()))
         assert dehn_solve(w("dD"), SURFACE2).verdict is Verdict.TRIVIAL
         assert dehn_solve(EPSILON, SURFACE2).verdict is Verdict.TRIVIAL
+
+    def test_malformed_letters(self):
+        # each was certified nontrivial when letters were read as pairs
+        for letter in (GenLetter(0, 2), GenLetter(-1, 1), GenLetter(0, 0)):
+            message = f"^malformed letter {re.escape(repr(letter))}$"
+            for p in (SURFACE2, GroupPresentation(2, ())):
+                with pytest.raises(ValueError, match=message):
+                    dehn_solve(w("ab") + (letter,), p)
+                with pytest.raises(ValueError, match=message):
+                    dehn_solve((letter,), p)
+
+    def test_codes_do_not_depend_on_the_number_of_generators(self):
+        p = GroupPresentation(10**6, ())
+        word = w("abc") + (GenLetter(10**6 - 1, -1),)
+        began = time.perf_counter()
+        outcome = dehn_solve(word, p)
+        assert time.perf_counter() - began < 0.1
+        assert outcome == DehnOutcome(Verdict.NONTRIVIAL_CERTIFIED, (), word)
+        assert dehn_solve(w("abcCBA"), p).verdict is Verdict.TRIVIAL
 
     def test_determinism(self):
         rng = random.Random(25)
@@ -321,6 +435,128 @@ class TestAgainstOracle:
                 assert ((found[1],) if found else ()) == expected, name
                 if found:
                     assert found[0] == replay_dehn_trace(word, sym, expected)
+
+
+def random_c6_presentation(rng):
+    """1-3 random cyclically reduced relators of 30-42 letters over 3-4
+    generators, drawn until the set satisfies C'(1/6)."""
+    while True:
+        n_gens = rng.randint(3, 4)
+        relators = []
+        for _ in range(rng.randint(1, 3)):
+            r = ()
+            while not r or tuple_cancels(r[0], r[-1]):
+                r = random_reduced_word(rng, n_gens, 42)
+                r = r if len(r) >= 30 else ()
+            relators.append(r)
+        p = GroupPresentation(n_gens, tuple(relators))
+        if max_piece_ratio(symmetrize(p)) < Fraction(1, 6):
+            return p
+
+
+def long_trivial_word(rng, p, n):
+    """A product of conjugated relators, freely reduced, at least n long."""
+    word = ()
+    while len(word) < n:
+        r = rng.choice(p.relators)
+        k = rng.randrange(len(r))
+        r = r[k:] + r[:k]
+        if rng.random() < 0.5:
+            r = invert(r)
+        u = random_reduced_word(rng, p.n_gens, 4)
+        word = free_reduce(word + u + r + invert(u))
+    return word
+
+
+class TestAgainstTupleSolver:
+    """The solver on code strings against the same solver on letter tuples."""
+
+    def check(self, word, p, sym=None):
+        assert dehn_solve(word, p) == tuple_dehn_solve(word, p)
+        sym = sym or symmetrize(p)
+        reduced = free_reduce(word)
+        assert dehn_step(reduced, sym) == tuple_dehn_step(reduced, sym)
+
+    def test_long_trivial_words(self):
+        rng = random.Random(41)
+        for p in (SURFACE2, catalog("surface", genus=16), random_c6_presentation(rng)):
+            word = long_trivial_word(rng, p, 10_000)
+            outcome = dehn_solve(word, p)
+            assert outcome.verdict is Verdict.TRIVIAL and len(outcome.trace) > 100
+            self.check(word, p)
+
+    @pytest.mark.parametrize("genus", [16, 40])
+    def test_surfaces_beyond_the_text_letters(self, genus):
+        rng = random.Random(f"dehn-codes-{genus}")
+        p = catalog("surface", genus=genus)
+        sym = symmetrize(p)
+        for _ in range(40):
+            self.check(relator_laden_word(rng, p, rng.randint(0, 8)), p, sym)
+        for _ in range(3):
+            self.check(long_trivial_word(rng, p, 2000), p, sym)
+
+    def test_random_c6_presentations(self):
+        rng = random.Random(42)
+        for _ in range(25):
+            p = random_c6_presentation(rng)
+            sym = symmetrize(p)
+            for _ in range(6):
+                self.check(relator_laden_word(rng, p, rng.randint(0, 10)), p, sym)
+
+    def test_ties_across_prefix_lengths(self):
+        rng = random.Random(43)
+        for _ in range(150):
+            p = random_presentation(rng)
+            sym = symmetrize(p)
+            for _ in range(4):
+                self.check(relator_laden_word(rng, p, rng.randint(0, 8)), p, sym)
+
+    def test_unreduced_words(self):
+        rng = random.Random(44)
+        for name, p in DIFFERENTIAL_PRESENTATIONS:
+            sym = symmetrize(p)
+            for _ in range(40):
+                word = make_word([(rng.randrange(p.n_gens), rng.choice((1, -1)))
+                                  for _ in range(rng.randint(0, 40))])
+                self.check(word, p, sym)
+
+
+class TestPreparation:
+    def test_equal_presentations_share_one_preparation(self, monkeypatch):
+        calls = []
+        closure = dehn.symmetric_closure
+        monkeypatch.setattr(dehn, "symmetric_closure", lambda *a: calls.append(a) or closure(*a))
+        dehn._prepare.cache_clear()
+        first, second = (GroupPresentation(3, (w("abcABC"), w("aabbcc"))) for _ in range(2))
+        assert first is not second
+        assert dehn_solve(w("ab"), first) == dehn_solve(w("ab"), second)
+        assert len(calls) == 1
+        info = dehn._prepare.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_the_cache_is_bounded(self):
+        bound = dehn._prepare.cache_info().maxsize
+        assert isinstance(bound, int) and bound > 0
+        for n in range(1, bound + 11):
+            dehn_solve(w("a"), GroupPresentation(n, (w("aa"),)))
+        assert dehn._prepare.cache_info().currsize == bound
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_certificate_on_the_catalog(self, name):
+        p = catalog(name)
+        if isinstance(p, GroupPresentation):
+            expected = max_piece_ratio(symmetrize(p)) < Fraction(1, 6)
+            assert dehn._prepare(p).certified is expected
+
+    def test_coded_piece_ratio(self):
+        # the certificate is taken on the coded words; recoding keeps the ratio
+        rng = random.Random(45)
+        presentations = [p for _, p in DIFFERENTIAL_PRESENTATIONS]
+        presentations += [random_presentation(rng) for _ in range(100)]
+        presentations += [catalog("surface", genus=40), random_c6_presentation(rng)]
+        for p in filter(lambda p: p.relators, presentations):
+            prep = dehn._Prepared(p.relators, symmetric=True)
+            assert piece_ratio(prep.words) == max_piece_ratio(symmetrize(p))
 
 
 # Finite groups whose Cayley graphs the Dehn solver's answers are checked

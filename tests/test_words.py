@@ -36,6 +36,37 @@ def random_word(rng, n_gens, max_len):
     )
 
 
+def loop_parse_word(text, n_gens=None):
+    """parse_word as first written: one letter built per character."""
+    text = text.strip()
+    if text in ("", "1"):
+        return EPSILON
+    letters = []
+    for c in text:
+        if "a" <= c <= "z":
+            letters.append(GenLetter(ord(c) - ord("a"), 1))
+        elif "A" <= c <= "Z":
+            letters.append(GenLetter(ord(c) - ord("A"), -1))
+        else:
+            raise ValueError(f"invalid character {c!r} in word {text!r}")
+    if n_gens is not None:
+        for letter in letters:
+            if letter.index >= n_gens:
+                raise ValueError(
+                    f"letter {format_word((letter,))!r} out of range "
+                    f"for {n_gens} generators"
+                )
+    return tuple(letters)
+
+
+def outcome(f, *args):
+    """f's result, or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestFreeReduce:
     def test_cancellation_pair(self):
         assert free_reduce(w("aA")) == EPSILON
@@ -153,6 +184,16 @@ class TestTextFormat:
 
     def test_letters(self):
         assert parse_word("aB") == (GenLetter(0, 1), GenLetter(1, -1))
+
+    def test_table_parse_matches_the_letter_loop(self):
+        rng = random.Random(13)
+        alphabet = LETTERS + LETTERS.upper() + "1 \t#"
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+            if rng.random() < 0.2:
+                text = rng.choice(("1", " 1 ", "", "  ", " abC\n"))
+            n_gens = rng.choice((None, 1, 3, 26))
+            assert outcome(parse_word, text, n_gens) == outcome(loop_parse_word, text, n_gens)
 
     def test_plain_words_spell_the_empty_word_as_one(self):
         assert (parse_plain("1"), format_plain("")) == ("", "1")
