@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .presentations import GroupPresentation
-from .words import GenLetter, Word, spell
+from .words import GenLetter, Word, check_word, spell
 
 
 class TableStatus(enum.Enum):
@@ -202,14 +202,12 @@ class CayleyGraph:
         return len(self.neighbors)
 
     def step(self, vertex: int, letter: GenLetter) -> int:
-        if not 0 <= letter.index < self.n_gens:
-            raise ValueError(f"letter index {letter.index} out of range")
-        return self.neighbors[vertex][_column(letter)]
+        return self.trace((letter,), vertex)
 
     def trace(self, w: Word, start: int = 0) -> int:
         vertex = start
-        for letter in w:
-            vertex = self.step(vertex, letter)
+        for letter in check_word(w, self.n_gens):
+            vertex = self.neighbors[vertex][_column(letter)]
         return vertex
 
 

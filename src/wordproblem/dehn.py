@@ -42,7 +42,7 @@ from itertools import chain
 from typing import Optional, Tuple
 
 from .presentations import GroupPresentation, SymmetrizedRelators, piece_ratio, symmetric_closure
-from .words import GenLetter, Word, free_reduce, invert
+from .words import GenLetter, Word, check_word, free_reduce, invert
 
 
 class Verdict(enum.Enum):
@@ -117,14 +117,12 @@ def _code(w: Word, encode: dict) -> str:
 
 def _extend(encode: dict, decode: dict, letters) -> Tuple[dict, dict]:
     """The code tables, copied and extended if some of the letters' generators
-    have no codes yet; each new letter must be a generator or its inverse."""
+    have no codes yet; the letters must pass check_word."""
     new = [x for x in dict.fromkeys(letters) if x not in encode]
     if new:
         encode, decode = dict(encode), dict(decode)
     for letter in new:
-        index, sign = letter
-        if sign not in (1, -1) or index < 0:
-            raise ValueError(f"malformed letter {letter!r}")
+        index, _ = letter
         if letter not in encode:  # else its inverse came first
             k = len(encode)
             for code, x in ((chr(k), GenLetter(index, 1)), (chr(k + 1), GenLetter(index, -1))):
@@ -140,9 +138,7 @@ def _coded(w: Word, prep: _Prepared, n_gens: Optional[int] = None) -> Tuple[str,
         return _code(w, prep.encode), prep.decode
     except KeyError:
         pass
-    if n_gens is not None and max(w).index >= n_gens:
-        raise ValueError(f"letter index {max(w).index} out of range for {n_gens} generators")
-    encode, decode = _extend(prep.encode, prep.decode, w)
+    encode, decode = _extend(prep.encode, prep.decode, check_word(w, n_gens))
     return _code(w, encode), decode
 
 

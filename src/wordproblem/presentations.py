@@ -9,35 +9,39 @@ Pieces are measured as common prefixes of two distinct elements of the
 symmetrized set; because that set is closed under cyclic shift, this is
 equivalent to the common-subword formulation and easy to brute-force.
 
-Text format, read by :func:`wordproblem.words.declarations`:
+Text format, read by :func:`wordproblem.words.read_declarations`:
 
-    gens: a b c          the generators
+    gens: a b c          the generators, declared once
     rel: abAB            one relator per line (group presentations)
     eq: ac = ca          one equation per line (semigroup presentations);
                          both sides are nonempty words
 
-A file may contain 'rel:' lines or 'eq:' lines, not both.
+The lines may come in any order.  A file may contain 'rel:' lines or
+'eq:' lines, not both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Tuple, Union
 
 from .words import (
     Word,
     alphabet_size,
+    at_line,
     check_letters,
+    check_word,
     cyclic_reduce,
     cyclic_shifts,
-    declarations,
     format_word,
     invert,
     is_cyclically_reduced,
     make_word,
     parse_plain,
     parse_word,
+    read_declarations,
     spell,
 )
 
@@ -56,14 +60,9 @@ class GroupPresentation:
     def __post_init__(self):
         if self.n_gens < 1:
             raise ValueError("a presentation needs at least one generator")
+        check_word(tuple(chain.from_iterable(self.relators)), self.n_gens)
         normalized = []
         for r in self.relators:
-            for letter in r:
-                if letter.index >= self.n_gens:
-                    raise ValueError(
-                        f"relator {format_word(r)} uses generator index "
-                        f"{letter.index} but presentation has {self.n_gens}"
-                    )
             core, _ = cyclic_reduce(r)
             if core:
                 normalized.append(core)
@@ -80,6 +79,7 @@ class SymmetrizedRelators:
         # a word is cyclically reduced when no cyclically adjacent pair of
         # its letters cancels; test all words' pairs at once, and name the
         # first bad word only if some pair cancels
+        check_word(tuple(chain.from_iterable(self.words)))
         pairs = set()
         for w in self.words:
             pairs.update(zip(w, w[1:] + w[:1]))
@@ -302,28 +302,14 @@ def _equation(value: str, size: int) -> Tuple[str, str]:
 
 def parse_presentation(text: str) -> Presentation:
     """Parse the text format; rejects letters not declared on the gens line."""
-    n_gens = None
-    relators = []
-    equations = []
-    for lineno, key, value in declarations(text):
-        if key == "gens":
-            n_gens = alphabet_size(value, lineno)
-        elif key not in ("rel", "eq"):
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        elif n_gens is None:
-            raise ValueError(f"line {lineno}: '{key}:' before 'gens:'")
-        else:
-            try:
-                if key == "rel":
-                    relators.append(parse_word(value, n_gens))
-                else:
-                    equations.append(_equation(value, n_gens))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-    if n_gens is None:
+    found = read_declarations(text, once=("gens",), many=("rel", "eq"))
+    if not found["gens"]:
         raise ValueError("missing 'gens:' line")
+    n_gens = at_line(*found["gens"][0], alphabet_size)
+    relators = tuple(at_line(*line, parse_word, n_gens) for line in found["rel"])
+    equations = tuple(at_line(*line, _equation, n_gens) for line in found["eq"])
     if relators and equations:
         raise ValueError("file mixes group relators and semigroup equations")
     if equations:
-        return SemigroupPresentation(n_gens, tuple(equations))
-    return GroupPresentation(n_gens, tuple(relators))
+        return SemigroupPresentation(n_gens, equations)
+    return GroupPresentation(n_gens, relators)

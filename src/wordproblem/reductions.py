@@ -17,12 +17,15 @@ cleanup rules erase tape letters adjacent to the marker, so a machine
 halting after k steps reaches the halt word <L><H><R> in exactly
 k + 1 + (remaining tape letters) rewrite steps.
 
-Machine text format, read by :func:`wordproblem.words.declarations`:
+Machine text format, read by :func:`wordproblem.words.read_declarations`:
 
     states: 2
     symbols: a b        first symbol is the blank
-    start: q0
+    start: q0           q0 if no 'start:' line
     trans: q0 b -> q0 b R
+
+'states:', 'symbols:' and 'start:' are declared at most once; the lines
+may come in any order.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .rewriting import RewriteSystem, SystemKind, successors
-from .words import (LETTERS, alphabet_size, check_letters, declarations, format_plain,
-                    parse_plain, spell)
+from .words import (LETTERS, alphabet_size, at_line, check_letters, format_plain, parse_plain,
+                    read_declarations, spell)
 
 Move = str  # "L" or "R"
 Transition = Tuple[int, int, Move]  # new state, written symbol, move
@@ -253,59 +256,57 @@ def format_machine(m: TuringMachine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_state(token: str, n_states: int, lineno: int) -> int:
+def _parse_state(token: str, n_states: int) -> int:
     if not token.startswith("q") or not token[1:].isdigit():
-        raise ValueError(f"line {lineno}: bad state name {token!r}")
+        raise ValueError(f"bad state name {token!r}")
     q = int(token[1:])
     if q >= n_states:
-        raise ValueError(f"line {lineno}: state {token!r} out of range")
+        raise ValueError(f"state {token!r} out of range")
     return q
 
 
+def _state_count(value: str) -> int:
+    try:
+        n_states = int(value)
+    except ValueError:
+        raise ValueError(f"expected a number of states, got {value!r}") from None
+    if n_states < 1:
+        raise ValueError(f"need at least one state, got {n_states}")
+    return n_states
+
+
+def _transition(value: str, n_states: int, n_symbols: int, defined: dict) -> tuple:
+    """((state, symbol), (new state, written symbol, move)) of the value of
+    a 'trans:' line; the pair must not be in defined yet."""
+    parts = value.split()
+    if len(parts) != 6 or parts[2] != "->":
+        raise ValueError("expected 'trans: qI x -> qJ y L|R'")
+    q = _parse_state(parts[0], n_states)
+    q2 = _parse_state(parts[3], n_states)
+    for sym in (parts[1], parts[4]):
+        if len(sym) != 1 or sym not in LETTERS[:n_symbols]:
+            raise ValueError(f"unknown symbol {sym!r}")
+    s = LETTERS.index(parts[1])
+    w = LETTERS.index(parts[4])
+    move = parts[5]
+    if move not in ("L", "R"):
+        raise ValueError("move must be L or R")
+    if (q, s) in defined:
+        raise ValueError(f"duplicate transition for q{q},{parts[1]}")
+    return (q, s), (q2, w, move)
+
+
 def parse_machine(text: str) -> TuringMachine:
-    n_states = None
-    n_symbols = None
-    start = 0
-    transitions = {}
-    for lineno, key, value in declarations(text):
-        if key == "states":
-            try:
-                n_states = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: expected a number of states, got {value!r}"
-                ) from None
-            if n_states < 1:
-                raise ValueError(f"line {lineno}: need at least one state, got {n_states}")
-        elif key == "symbols":
-            n_symbols = alphabet_size(value, lineno)
-        elif key == "start":
-            if n_states is None:
-                raise ValueError(f"line {lineno}: 'start:' before 'states:'")
-            start = _parse_state(value, n_states, lineno)
-        elif key == "trans":
-            if n_states is None or n_symbols is None:
-                raise ValueError(f"line {lineno}: 'trans:' before 'states:'/'symbols:'")
-            parts = value.split()
-            if len(parts) != 6 or parts[2] != "->":
-                raise ValueError(f"line {lineno}: expected 'trans: qI x -> qJ y L|R'")
-            q = _parse_state(parts[0], n_states, lineno)
-            q2 = _parse_state(parts[3], n_states, lineno)
-            for sym in (parts[1], parts[4]):
-                if len(sym) != 1 or sym not in LETTERS[:n_symbols]:
-                    raise ValueError(f"line {lineno}: unknown symbol {sym!r}")
-            s = LETTERS.index(parts[1])
-            w = LETTERS.index(parts[4])
-            move = parts[5]
-            if move not in ("L", "R"):
-                raise ValueError(f"line {lineno}: move must be L or R")
-            if (q, s) in transitions:
-                raise ValueError(f"line {lineno}: duplicate transition for q{q},{parts[1]}")
-            transitions[(q, s)] = (q2, w, move)
-        else:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-    if n_states is None or n_symbols is None:
+    found = read_declarations(text, once=("states", "symbols", "start"), many=("trans",))
+    if not found["states"] or not found["symbols"]:
         raise ValueError("missing 'states:' or 'symbols:' line")
+    n_states = at_line(*found["states"][0], _state_count)
+    n_symbols = at_line(*found["symbols"][0], alphabet_size)
+    start = at_line(*found["start"][0], _parse_state, n_states) if found["start"] else 0
+    transitions = {}
+    for line in found["trans"]:
+        pair, target = at_line(*line, _transition, n_states, n_symbols, transitions)
+        transitions[pair] = target
     return TuringMachine(n_states, n_symbols, transitions, start)
 
 

@@ -10,11 +10,14 @@ over a directed system it is forward reachability from the first word
 only.  Every positive answer carries a derivation trace that an
 independent replayer can check step by step.
 
-Text format, read by :func:`wordproblem.words.declarations`:
+Text format, read by :func:`wordproblem.words.read_declarations`:
 
     alpha: a b c d e
-    kind: thue            (or semithue)
+    kind: thue            (or semithue; semithue if no 'kind:' line)
     rule: ac -> ca
+
+'alpha:' and 'kind:' are declared at most once; the lines may come in
+any order.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import List, Tuple
 
 from .presentations import SemigroupPresentation
 from .search import DerivationTrace, SearchOutcome, class_search, forward_search, replay
-from .words import (LETTERS, alphabet_size, check_letters, declarations, format_plain,
-                    parse_plain)
+from .words import (LETTERS, alphabet_size, at_line, check_letters, format_plain, parse_plain,
+                    read_declarations)
 
 
 class SystemKind(enum.Enum):
@@ -49,12 +52,13 @@ class RewriteSystem:
             check_letters(lhs + rhs, self.alphabet_size)
         if self.kind is SystemKind.THUE:
             rule_set = set(self.rules)
-            for lhs, rhs in self.rules:
-                _check_swap(lhs, rhs, rule_set)
+            for rule in self.rules:
+                _check_swap(rule, rule_set)
 
 
-def _check_swap(lhs: str, rhs: str, rule_set: set) -> None:
+def _check_swap(rule: Tuple[str, str], rule_set: set) -> None:
     """A symmetric system carries the swap of every rule."""
+    lhs, rhs = rule
     if (rhs, lhs) not in rule_set:
         raise ValueError(f"symmetric system is missing the swap of ({lhs!r}, {rhs!r})")
 
@@ -176,38 +180,34 @@ def format_system(sys: RewriteSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _kind(value: str) -> SystemKind:
+    try:
+        return SystemKind(value)
+    except ValueError:
+        raise ValueError("kind must be thue or semithue") from None
+
+
+def _rule(value: str, size: int) -> Tuple[str, str]:
+    """The two checked sides of the value of a 'rule:' line."""
+    sides = [s.strip() for s in value.split("->")]
+    if len(sides) != 2 or not sides[0]:
+        raise ValueError("expected 'rule: lhs -> rhs'")
+    lhs, rhs = map(parse_plain, sides)
+    if not lhs:
+        raise ValueError("empty left side is not allowed")
+    check_letters(lhs + rhs, size)
+    return lhs, rhs
+
+
 def parse_system(text: str) -> RewriteSystem:
-    alphabet = None
-    kind = SystemKind.SEMI_THUE
-    rules = []
-    rule_lines = []
-    for lineno, key, value in declarations(text):
-        if key == "alpha":
-            alphabet = alphabet_size(value, lineno)
-        elif key == "kind":
-            try:
-                kind = SystemKind(value)
-            except ValueError:
-                raise ValueError(f"line {lineno}: kind must be thue or semithue") from None
-        elif key == "rule":
-            sides = [s.strip() for s in value.split("->")]
-            if len(sides) != 2 or not sides[0]:
-                raise ValueError(f"line {lineno}: expected 'rule: lhs -> rhs'")
-            lhs, rhs = map(parse_plain, sides)
-            if not lhs:
-                raise ValueError(f"line {lineno}: empty left side is not allowed")
-            rules.append((lhs, rhs))
-            rule_lines.append(lineno)
-        else:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-    if alphabet is None:
+    found = read_declarations(text, once=("alpha", "kind"), many=("rule",))
+    if not found["alpha"]:
         raise ValueError("missing 'alpha:' line")
-    rule_set = set(rules)
-    for lineno, (lhs, rhs) in zip(rule_lines, rules):  # 'alpha:' and 'kind:' may come later
-        try:
-            check_letters(lhs + rhs, alphabet)
-            if kind is SystemKind.THUE:
-                _check_swap(lhs, rhs, rule_set)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return RewriteSystem(alphabet, tuple(rules), kind)
+    alphabet = at_line(*found["alpha"][0], alphabet_size)
+    kind = at_line(*found["kind"][0], _kind) if found["kind"] else SystemKind.SEMI_THUE
+    rules = tuple(at_line(*line, _rule, alphabet) for line in found["rule"])
+    if kind is SystemKind.THUE:
+        rule_set = set(rules)
+        for (lineno, _), rule in zip(found["rule"], rules):
+            at_line(lineno, rule, _check_swap, rule_set)
+    return RewriteSystem(alphabet, rules, kind)

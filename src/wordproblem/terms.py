@@ -22,11 +22,12 @@ parenthesized pairs: ((A B) C).  Rules are written 'lhs => rhs'.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .search import DerivationTrace, SearchOutcome, class_search, replay
-from .words import declarations
+from .words import at_line, read_declarations
 
 
 class Leaf(NamedTuple):
@@ -236,22 +237,7 @@ def format_term(t: Term) -> str:
 
 
 def _tokenize(text: str) -> List[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c in "()":
-            tokens.append(c)
-            i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    return re.findall(r"[()]|[^\s()]+", text)
 
 
 def _parse_leaf(token: str) -> Leaf:
@@ -297,15 +283,8 @@ def parse_tree_rule(text: str) -> TreeRule:
 
 def parse_tree_rules(text: str) -> List[TreeRule]:
     """One 'rule: lhs => rhs' declaration per line."""
-    rules = []
-    for lineno, key, value in declarations(text):
-        if key != "rule":
-            raise ValueError(f"line {lineno}: expected 'rule: lhs => rhs'")
-        try:
-            rules.append(parse_tree_rule(value))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return rules
+    found = read_declarations(text, once=(), many=("rule",))
+    return [at_line(*line, parse_tree_rule) for line in found["rule"]]
 
 
 ASSOCIATIVITY = TreeRule(

@@ -2,13 +2,18 @@
 
 A group word is a flat tuple of letters, each letter a (generator index,
 sign) pair.  Generator indices are 0-based; sign +1 is the generator
-itself, -1 its inverse.  The textual form writes generator i as the
-lowercase letter LETTERS[i] and its inverse as the uppercase letter, so
-"abA" is a*b*a^-1.  The empty word prints as "1".
+itself, -1 its inverse.  :func:`check_word` is the one definition of a
+well-formed word, and of a word over a given number of generators.  The
+textual form writes generator i as the lowercase letter LETTERS[i] and
+its inverse as the uppercase letter, so "abA" is a*b*a^-1.  The empty
+word prints as "1".
 
 The four text formats of the package (presentations, rewriting systems,
-machines, tree rules) are read through :func:`declarations`, and their
-alphabets are checked by :func:`alphabet_size` and :func:`check_letters`.
+machines, tree rules) are read in three steps: :func:`read_declarations`
+collects the 'key: value' lines of the known keys, each parser checks
+that its required keys are there, and each value is parsed under
+:func:`at_line`, which names the line in any error.  Alphabets are
+checked by :func:`alphabet_size` and :func:`check_letters`.
 Plain-letter words (rewriting, tapes, equations) are strings, and
 :func:`parse_plain`/:func:`format_plain` state that "1" is their empty
 word too.  Formatters name letters through :func:`spell`, which refuses
@@ -19,7 +24,7 @@ All functions here are pure and operate on immutable tuples.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -37,16 +42,22 @@ Word = Tuple[GenLetter, ...]
 EPSILON: Word = ()
 
 
+def check_word(w: Word, n_gens: Optional[int] = None) -> Word:
+    """Return w if every letter has sign +1 or -1 and index >= 0, and
+    index < n_gens when n_gens is given; else name the first letter that
+    does not."""
+    for letter in dict.fromkeys(w):
+        index, sign = letter
+        if sign not in (1, -1) or index < 0:
+            raise ValueError(f"malformed letter {letter!r}")
+        if n_gens is not None and index >= n_gens:
+            raise ValueError(f"letter index {index} out of range for {n_gens} generators")
+    return w
+
+
 def make_word(letters: Iterable[Tuple[int, int]]) -> Word:
-    """Build a word from (index, sign) pairs, validating signs."""
-    out = []
-    for index, sign in letters:
-        if sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-        if index < 0:
-            raise ValueError(f"generator index must be >= 0, got {index}")
-        out.append(GenLetter(index, sign))
-    return tuple(out)
+    """Build a checked word from (index, sign) pairs."""
+    return check_word(tuple(GenLetter(index, sign) for index, sign in letters))
 
 
 def concat(*words: Word) -> Word:
@@ -119,11 +130,7 @@ def cyclic_shifts(w: Word) -> list[Word]:
 def exponent_vector(w: Word, n_gens: int) -> Tuple[int, ...]:
     """Signed count of each generator: the image of w in Z^n_gens."""
     counts = [0] * n_gens
-    for letter in w:
-        if letter.index >= n_gens:
-            raise ValueError(
-                f"letter index {letter.index} out of range for {n_gens} generators"
-            )
+    for letter in check_word(w, n_gens):
         counts[letter.index] += letter.sign
     return tuple(counts)
 
@@ -204,13 +211,39 @@ def declarations(text: str) -> Iterator[Tuple[int, str, str]]:
         yield lineno, key.strip(), value.strip()
 
 
-def alphabet_size(value: str, lineno: int) -> int:
+def read_declarations(
+    text: str, once: Tuple[str, ...], many: Tuple[str, ...]
+) -> Dict[str, List[Tuple[int, str]]]:
+    """(line number, value) of each declaration of each key, in file order.
+
+    Keys in once may be declared at most once and keys in many any
+    number of times; any other key is an error.  Declarations may come
+    in any order, so a value is parsed only after the whole file is read.
+    """
+    found: Dict[str, List[Tuple[int, str]]] = {key: [] for key in (*once, *many)}
+    for lineno, key, value in declarations(text):
+        if key not in found:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in once and found[key]:
+            raise ValueError(f"line {lineno}: repeated '{key}:'")
+        found[key].append((lineno, value))
+    return found
+
+
+def at_line(lineno: int, value: object, parse: Callable, *args):
+    """parse(value, *args), with the line number put before any error."""
+    try:
+        return parse(value, *args)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def alphabet_size(value: str) -> int:
     """Size of an alphabet declared as consecutive letters from 'a'."""
     names = value.split()
     if not names or names != list(LETTERS[: len(names)]):
         raise ValueError(
-            f"line {lineno}: expected consecutive letters from 'a' "
-            f"(at most {len(LETTERS)}), got {value!r}"
+            f"expected consecutive letters from 'a' (at most {len(LETTERS)}), got {value!r}"
         )
     return len(names)
 

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import deque
 
 import pytest
@@ -16,7 +17,7 @@ from wordproblem.cayley import (
     word_problem_finite,
 )
 from wordproblem.presentations import GroupPresentation, catalog
-from wordproblem.words import free_reduce, make_word, parse_word
+from wordproblem.words import GenLetter, free_reduce, make_word, parse_word
 
 
 def w(text):
@@ -247,8 +248,17 @@ class TestWordProblem:
 
     def test_letter_out_of_range(self):
         for word in ("c", "cC"):  # also when the letter cancels
-            with pytest.raises(ValueError, match="^letter index 2 out of range$"):
+            with pytest.raises(ValueError, match="^letter index 2 out of range for 2 generators$"):
                 word_problem_finite(w(word), D5)
+
+    @pytest.mark.parametrize("letter", [GenLetter(0, 0), GenLetter(0, 2), GenLetter(-1, 1)])
+    def test_malformed_letter(self, letter):
+        # sign 0 once stepped along A's column and sign 2 along a's
+        message = f"^malformed letter {re.escape(repr(letter))}$"
+        with pytest.raises(ValueError, match=message):
+            D5.step(0, letter)
+        with pytest.raises(ValueError, match=message):
+            word_problem_finite(w("ab") + (letter,), D5)
 
 
 class TestMetrics:

@@ -241,6 +241,19 @@ class TestErrors:
             "wordproblem: error: line 2: letter 'c' out of range for 2 generators\n"
         )
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (("dehn-solve", "--presentation", "{}", "ab"), "gens: a b c\nrel: abc\ngens: a\n",
+         "line 3: repeated 'gens:'"),
+        (("tm-run", "--machine", "{}", "--input", "a"),
+         "states: 3\nsymbols: a b\ntrans: q2 a -> q0 b R\nstates: 1\n",
+         "line 4: repeated 'states:'"),
+    ])
+    def test_repeated_declaration_names_its_line(self, tmp_path, capsys, argv, text, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert main([arg.format(path) for arg in argv]) == 1
+        assert capsys.readouterr() == ("", f"wordproblem: error: {message}\n")
+
     def test_tree_rule_error_names_its_line(self, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text("# broken\nrule: (A B C) => A\n")

@@ -5,9 +5,14 @@ No linter ships with the package, so these standard-library checks keep
 stale imports and dead private helpers out after code moves between
 modules.  ``__init__.py`` is skipped by the import check: its imports
 are the public re-exports.
+
+Two input rules are decided only in ``words.py``: how an error names the
+line of a text file, and what a group letter is.  The last check keeps
+other modules from deciding them again.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -75,3 +80,29 @@ def test_flags_an_unread_private_name():
                      "def _used(): return _A\ndef _old(): pass\nclass _Gone: pass\n"
                      "def run(): return _used()\n")
     assert unread_private_names(tree) == ["_B", "_old", "_Gone"]
+
+
+# a 'line N:' prefix built by hand, or one of check_word's two messages
+DECIDED_IN_WORDS = re.compile(r"\bline \{|\bline %|malformed letter|letter index")
+
+
+def decided_again(text):
+    return [f"line {n}: {line.strip()}" for n, line in enumerate(text.splitlines(), start=1)
+            if DECIDED_IN_WORDS.search(line)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "words.py"],
+                         ids=lambda p: p.name)
+def test_input_rules_are_decided_in_words(path):
+    found = decided_again(path.read_text(encoding="utf-8"))
+    assert not found, f"{path.name} decides what words.py decides: {found}"
+
+
+def test_flags_a_rule_decided_again():
+    text = ('raise ValueError(f"line {lineno}: {exc}")\n'
+            'raise ValueError(f"letter index {i} out of range")\n'
+            'x = "one relator per line"\n')
+    assert decided_again(text) == [
+        'line 1: raise ValueError(f"line {lineno}: {exc}")',
+        'line 2: raise ValueError(f"letter index {i} out of range")',
+    ]

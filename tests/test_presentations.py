@@ -14,6 +14,7 @@ from wordproblem.presentations import (
     symmetrize,
 )
 from wordproblem.words import (
+    GenLetter,
     format_word,
     free_reduce,
     invert,
@@ -228,6 +229,15 @@ class TestNormalization:
     def test_out_of_range_relator_letter(self):
         with pytest.raises(ValueError):
             GroupPresentation(1, (w("ab"),))
+
+    def test_relator_letters_are_checked_as_words(self):
+        with pytest.raises(ValueError, match="^letter index 1 out of range for 1 generators$"):
+            GroupPresentation(1, (w("ab"),))
+        # index -1 read b's column, so todd_coxeter called this a
+        # complete table of one coset
+        relators = ((GenLetter(-1, 1), GenLetter(0, 1)),) + catalog("dihedral5").relators
+        with pytest.raises(ValueError, match=r"^malformed letter GenLetter\(index=-1, sign=1\)$"):
+            GroupPresentation(2, relators)
 
     def test_useless_equation_flagged(self):
         p = SemigroupPresentation(2, (("ab", "ab"), ("a", "b")))

@@ -18,6 +18,7 @@ from wordproblem.terms import (
     TreeRule,
     TreeStep,
     apply_tree_rule,
+    _tokenize,
     apply_tree_step,
     format_term,
     match_subst,
@@ -375,6 +376,36 @@ class TestDerivationTraces:
         trace = DerivationTrace(Node(A, B), (TreeStep(0, FORWARD, ""),), A)
         with pytest.raises(ValueError, match="does not match"):
             replay_tree_trace([ASSOCIATIVITY], trace)
+
+
+def tokenize_by_characters(text):
+    """The tokenizer as a loop over characters, before it became one regex."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c in "()":
+            tokens.append(c)
+            i += 1
+        elif c.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    return tokens
+
+
+TOKEN_TEXT = st.text(st.sampled_from("()A?x:p \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000\u200b")
+                     | st.characters(), max_size=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=TOKEN_TEXT)
+def test_tokenize_matches_the_character_loop(text):
+    assert _tokenize(text) == tokenize_by_characters(text)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,10 @@
-"""Fuzzing of the four text readers: a valid file with random character
-insertions, deletions and substitutions either parses or raises
-ValueError, never another exception type.  Hypothesis draws the seeds;
-each seed drives 25 mutated files, spread uniformly over the text."""
+"""The four text readers on one valid file each.  Declarations may come
+in any order, and a once-only key declared again names its line.
+
+Fuzzing: a valid file with random character insertions, deletions and
+substitutions either parses or raises ValueError, never another
+exception type.  Hypothesis draws the seeds; each seed drives 25
+mutated files, spread uniformly over the text."""
 
 import random
 
@@ -24,6 +27,8 @@ VALID = {
     parse_tree_rules: "rule: ((?x ?y) ?z) => (?x (?y ?z))\nrule: (A:p ?x) => (?x A:p)\n",
 }
 
+ONCE = ("gens:", "alpha:", "kind:", "states:", "symbols:", "start:")
+
 PIECES = list("abcyz{AB019q?:#=->()1 \n\t") + ["ab", "q12", "->", "=>", ": ", "(A"]
 
 
@@ -43,6 +48,41 @@ def mutate(rng, text):
 @pytest.mark.parametrize("reader", list(VALID), ids=lambda f: f.__name__)
 def test_valid_files_parse(reader):
     reader(VALID[reader])
+
+
+@pytest.mark.parametrize("reader", list(VALID), ids=lambda f: f.__name__)
+def test_once_only_lines_may_come_last(reader):
+    lines = VALID[reader].splitlines(keepends=True)
+    moved = sorted(lines, key=lambda line: line.startswith(ONCE))
+    assert reader("".join(moved)) == reader(VALID[reader])
+
+
+REPEATS = [(reader, line) for reader, text in VALID.items()
+           for line in text.splitlines() if line.startswith(ONCE)]
+
+
+@pytest.mark.parametrize("reader, line", REPEATS, ids=lambda x: getattr(x, "__name__", x))
+def test_once_only_line_repeated(reader, line):
+    text = VALID[reader] + line + "\n"
+    key = line.split(":")[0]
+    with pytest.raises(ValueError, match=f"^line {len(text.splitlines())}: repeated '{key}:'$"):
+        reader(text)
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    # the first three were accepted, or reported without their line,
+    # while the last declaration of a key won
+    (parse_machine, "states: 3\nsymbols: a b\ntrans: q2 a -> q0 b R\nstates: 1\n",
+     "line 4: repeated 'states:'"),
+    (parse_presentation, "gens: a b c\nrel: abc\ngens: a\n", "line 3: repeated 'gens:'"),
+    (parse_system, "alpha: a b\nkind: thue\nrule: ab -> ba\nrule: ba -> ab\nkind: semithue\n",
+     "line 5: repeated 'kind:'"),
+    (parse_tree_rules, "rule: A => B\nrel: ab\n", "line 2: unknown key 'rel'"),
+], ids=["states", "gens", "kind", "tree-key"])
+def test_declaration_errors_name_their_line(reader, text, message):
+    with pytest.raises(ValueError) as info:
+        reader(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("reader", list(VALID), ids=lambda f: f.__name__)

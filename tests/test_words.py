@@ -7,7 +7,9 @@ from wordproblem.words import (
     LETTERS,
     GenLetter,
     alphabet_size,
+    at_line,
     check_letters,
+    check_word,
     commutator,
     concat,
     cyclic_reduce,
@@ -21,6 +23,7 @@ from wordproblem.words import (
     make_word,
     parse_plain,
     parse_word,
+    read_declarations,
     spell,
 )
 
@@ -149,6 +152,11 @@ class TestExponentVector:
         with pytest.raises(ValueError):
             exponent_vector(w("c"), 2)
 
+    def test_malformed_letter(self):
+        # index -1 once counted into the last generator: (0, 1)
+        with pytest.raises(ValueError, match=r"^malformed letter GenLetter\(index=-1, sign=1\)$"):
+            exponent_vector((GenLetter(-1, 1),), 2)
+
     def test_invariant_under_reduction_and_relator_insertion(self):
         rng = random.Random(11)
         relator = concat(commutator(w("a"), w("b")), commutator(w("c"), w("d")))
@@ -159,6 +167,34 @@ class TestExponentVector:
             cut = rng.randint(0, len(word))
             spliced = concat(word[:cut], u, relator, invert(u), word[cut:])
             assert exponent_vector(spliced, 4) == exponent_vector(word, 4)
+
+
+class TestCheckWord:
+    def test_returns_the_word(self):
+        word = w("abAB")
+        assert check_word(word) is word
+        assert check_word(word, 2) is word
+        assert check_word(EPSILON, 1) == EPSILON
+        assert check_word((GenLetter(10**6, -1),)) == (GenLetter(10**6, -1),)
+
+    @pytest.mark.parametrize("letter", [GenLetter(0, 0), GenLetter(0, 2), GenLetter(-1, 1),
+                                        GenLetter(-1, -1)])
+    def test_malformed_letter(self, letter):
+        for n_gens in (None, 2):
+            with pytest.raises(ValueError, match=r"^malformed letter GenLetter\("):
+                check_word(w("ab") + (letter,), n_gens)
+
+    def test_names_the_first_letter_out_of_range(self):
+        with pytest.raises(ValueError, match="^letter index 2 out of range for 2 generators$"):
+            check_word(w("acCd"), 2)
+        with pytest.raises(ValueError, match="^letter index 3 out of range for 2 generators$"):
+            check_word(w("adc"), 2)
+
+    def test_make_word_checks(self):
+        assert make_word([(0, 1), (1, -1)]) == w("aB")
+        for pair in ((0, 2), (-1, 1)):
+            with pytest.raises(ValueError, match="^malformed letter"):
+                make_word([pair])
 
 
 class TestTextFormat:
@@ -214,15 +250,40 @@ class TestDeclarations:
         assert list(declarations(text)) == [(1, "rule", "(A:p B) => (B A:p)")]
 
 
+class TestReadDeclarations:
+    def test_values_by_key_in_file_order(self):
+        text = "rel: ab\n# c\ngens: a b\nrel: ba\n"
+        found = read_declarations(text, once=("gens",), many=("rel", "eq"))
+        assert found == {"gens": [(3, "a b")], "rel": [(1, "ab"), (4, "ba")], "eq": []}
+
+    def test_unknown_key_names_its_line(self):
+        with pytest.raises(ValueError, match="^line 2: unknown key 'rule'$"):
+            read_declarations("gens: a\nrule: a -> b\n", once=("gens",), many=("rel",))
+
+    def test_once_only_key_repeated(self):
+        text = "gens: a\nrel: a\nrel: aa\ngens: a b\n"
+        with pytest.raises(ValueError, match="^line 4: repeated 'gens:'$"):
+            read_declarations(text, once=("gens",), many=("rel",))
+
+
+class TestAtLine:
+    def test_passes_the_value_and_arguments(self):
+        assert at_line(7, "ab", parse_word, 2) == w("ab")
+
+    def test_names_the_line_of_an_error(self):
+        with pytest.raises(ValueError, match="^line 7: letter 'c' out of range for 2 generators$"):
+            at_line(7, "abc", parse_word, 2)
+
+
 class TestAlphabetSize:
     def test_all_26_letters(self):
-        assert alphabet_size(" ".join(LETTERS), 1) == 26
-        assert alphabet_size("a", 1) == 1
+        assert alphabet_size(" ".join(LETTERS)) == 26
+        assert alphabet_size("a") == 1
 
     def test_rejects_bad_lines(self):
         for value in (" ".join(LETTERS) + " {", "a c", "a bc", "ab", "b", ""):
-            with pytest.raises(ValueError, match="^line 4: expected consecutive letters"):
-                alphabet_size(value, 4)
+            with pytest.raises(ValueError, match="^expected consecutive letters"):
+                alphabet_size(value)
 
 
 class TestCheckLetters:
