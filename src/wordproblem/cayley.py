@@ -1,11 +1,17 @@
 """Coset enumeration and Cayley graphs of finite quotients.
 
-Enumeration is relator scanning with gap filling: each live coset scans
-every relator (defining new cosets to fill gaps) and then fills any
-still-undefined generator entries.  Coincidences discovered while
-closing a scan are processed immediately with a union-find over coset
-ids, keeping the smallest id as representative.  New cosets are numbered
-in first-use order, so the final table is deterministic.
+Enumeration is relator scanning with gap filling (the HLT procedure of
+the Handbook of Computational Group Theory, section 5.1): each live coset
+scans every relator (defining new cosets to fill gaps) and then fills
+any still-undefined generator entries.  A coincidence found while
+closing a scan is processed at once and in full, keeping the smallest id
+of each class as representative: the row of each coset that dies is
+walked, the back entry of each of its edges is cleared, and the edge is
+moved to the representatives, or the two entries it meets are queued to
+merge.  So when a coincidence has been processed, no live row names a
+dead coset, and scans read the table directly; only the coincidence
+routine looks representatives up.  New cosets are numbered in first-use
+order, so the final table is deterministic.
 
 Columns pair generators with their inverses: generator i acts through
 column 2i, its inverse through column 2i+1.
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .presentations import GroupPresentation
-from .words import GenLetter, Word, check_word, spell
+from .words import GenLetter, Word, distinct_letters, spell
 
 
 class TableStatus(enum.Enum):
@@ -62,7 +68,6 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int) -> CosetTable:
 
     table: List[List[Optional[int]]] = [[None] * cols]
     parent = [0]
-    pending: deque = deque()
 
     def find(x: int) -> int:
         root = x
@@ -82,94 +87,87 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int) -> CosetTable:
         table[beta][c ^ 1] = alpha
         return beta
 
-    def deduce(alpha: int, c: int, beta: int):
-        alpha, beta = find(alpha), find(beta)
-        t = table[alpha][c]
-        if t is not None:
-            if find(t) != beta:
-                pending.append((find(t), beta))
-                process()
-            return
-        table[alpha][c] = beta
-        u = table[beta][c ^ 1]
-        if u is None:
-            table[beta][c ^ 1] = alpha
-        elif find(u) != alpha:
-            pending.append((find(u), alpha))
-            process()
-
-    def process():
-        while pending:
-            x, y = pending.popleft()
-            x, y = find(x), find(y)
-            if x == y:
-                continue
+    def merge(x: int, y: int, dead: List[int]):
+        x, y = find(x), find(y)
+        if x != y:
             lo, hi = (x, y) if x < y else (y, x)
             parent[hi] = lo
-            row = table[hi]
-            for c in range(cols):
-                t = row[c]
-                if t is None:
+            dead.append(hi)
+
+    def coincidence(x: int, y: int):
+        # Each dead coset's row is walked once.  Clearing the back entry of
+        # every edge leaving it means the edge is moved only once, and that
+        # no row is left naming the dead coset.
+        dead: List[int] = []
+        merge(x, y, dead)
+        for gamma in dead:
+            row = table[gamma]
+            for c, delta in enumerate(row):
+                if delta is None:
                     continue
-                u = table[lo][c]
-                if u is None:
-                    table[lo][c] = t
-                elif find(u) != find(t):
-                    pending.append((find(u), find(t)))
+                table[delta][c ^ 1] = None
+                mu, nu = find(gamma), find(delta)
+                t = table[mu][c]
+                if t is not None:
+                    merge(nu, t, dead)
+                    continue
+                u = table[nu][c ^ 1]
+                if u is not None:
+                    merge(mu, u, dead)
+                    continue
+                table[mu][c] = nu
+                table[nu][c ^ 1] = mu
 
     def scan_and_fill(alpha: int, rel: List[int]):
         f, i = alpha, 0
         b, j = alpha, len(rel)
         while True:
             while i < j:
-                t = table[find(f)][rel[i]]
+                t = table[f][rel[i]]
                 if t is None:
                     break
-                f = find(t)
+                f = t
                 i += 1
             while j > i:
-                t = table[find(b)][rel[j - 1] ^ 1]
+                t = table[b][rel[j - 1] ^ 1]
                 if t is None:
                     break
-                b = find(t)
+                b = t
                 j -= 1
             if i == j:
-                f, b = find(f), find(b)
                 if f != b:
-                    pending.append((f, b))
-                    process()
+                    coincidence(f, b)
                 return
             if i == j - 1:
-                deduce(find(f), rel[i], find(b))
+                # both entries are empty, or the scans would have gone on
+                table[f][rel[i]] = b
+                table[b][rel[i] ^ 1] = f
                 return
-            f = define(find(f), rel[i])
+            f = define(f, rel[i])
             i += 1
 
     status = TableStatus.COMPLETE
     try:
         alpha = 0
         while alpha < len(table):
-            if find(alpha) != alpha:
-                alpha += 1
-                continue
-            for rel in relators:
-                scan_and_fill(alpha, rel)
-                if find(alpha) != alpha:
-                    break
-            if find(alpha) == alpha:
-                for c in range(cols):
-                    if table[alpha][c] is None:
-                        define(alpha, c)
+            if parent[alpha] == alpha:
+                for rel in relators:
+                    scan_and_fill(alpha, rel)
+                    if parent[alpha] != alpha:
+                        break
+                else:
+                    row = table[alpha]
+                    for c in range(cols):
+                        if row[c] is None:
+                            define(alpha, c)
             alpha += 1
     except _Budget:
         status = TableStatus.BUDGET_EXCEEDED
 
-    live = [x for x in range(len(table)) if find(x) == x]
+    live = [x for x in range(len(table)) if parent[x] == x]
     renumber = {old: new for new, old in enumerate(live)}
-    rows = tuple(
-        tuple(renumber[find(t)] if t is not None else None for t in table[old])
-        for old in live
-    )
+    renumber[None] = None
+    rows = tuple(tuple(map(renumber.__getitem__, table[old])) for old in live)
     if status is TableStatus.COMPLETE:
         assert all(t is not None for row in rows for t in row)
     return CosetTable(p.n_gens, rows, status)
@@ -205,9 +203,11 @@ class CayleyGraph:
         return self.trace((letter,), vertex)
 
     def trace(self, w: Word, start: int = 0) -> int:
+        column = {letter: _column(letter) for letter in distinct_letters(w, self.n_gens)}
+        neighbors = self.neighbors
         vertex = start
-        for letter in check_word(w, self.n_gens):
-            vertex = self.neighbors[vertex][_column(letter)]
+        for c in map(column.__getitem__, w):
+            vertex = neighbors[vertex][c]
         return vertex
 
 

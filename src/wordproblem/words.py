@@ -1,9 +1,10 @@
 """Free-group word algebra and the shared text conventions.
 
-A group word is a flat tuple of letters, each letter a (generator index,
-sign) pair.  Generator indices are 0-based; sign +1 is the generator
-itself, -1 its inverse.  :func:`check_word` is the one definition of a
-well-formed word, and of a word over a given number of generators.  The
+A group word is a flat tuple of letters, each letter a GenLetter, the
+pair (generator index, sign).  Generator indices are 0-based; sign +1 is
+the generator itself, -1 its inverse.  :func:`distinct_letters` is the
+one definition of a well-formed word, and of a word over a given number
+of generators; :func:`check_word` returns the word it accepts.  The
 textual form writes generator i as the lowercase letter LETTERS[i] and
 its inverse as the uppercase letter, so "abA" is a*b*a^-1.  The empty
 word prints as "1".
@@ -42,16 +43,28 @@ Word = Tuple[GenLetter, ...]
 EPSILON: Word = ()
 
 
-def check_word(w: Word, n_gens: Optional[int] = None) -> Word:
-    """Return w if every letter has sign +1 or -1 and index >= 0, and
-    index < n_gens when n_gens is given; else name the first letter that
-    does not."""
-    for letter in dict.fromkeys(w):
+def distinct_letters(w: Word, n_gens: Optional[int] = None) -> Dict[GenLetter, None]:
+    """The distinct letters of w in first-occurrence order, once every
+    letter is a GenLetter with sign +1 or -1 and index >= 0, and index <
+    n_gens when n_gens is given; else name the first letter that is not."""
+    # A plain tuple equals the GenLetter with the same fields and would
+    # hide behind it in the dedup, so w is walked whole unless every
+    # letter is a GenLetter; that walk raises at the first that is not.
+    letters = dict.fromkeys(w) if {GenLetter}.issuperset(map(type, w)) else w
+    for letter in letters:
+        if not isinstance(letter, GenLetter):
+            raise ValueError(f"malformed letter {letter!r}")
         index, sign = letter
         if sign not in (1, -1) or index < 0:
             raise ValueError(f"malformed letter {letter!r}")
         if n_gens is not None and index >= n_gens:
             raise ValueError(f"letter index {index} out of range for {n_gens} generators")
+    return letters
+
+
+def check_word(w: Word, n_gens: Optional[int] = None) -> Word:
+    """Return w if :func:`distinct_letters` accepts it."""
+    distinct_letters(w, n_gens)
     return w
 
 

@@ -16,7 +16,7 @@ from wordproblem.cayley import (
     todd_coxeter,
     word_problem_finite,
 )
-from wordproblem.presentations import GroupPresentation, catalog
+from wordproblem.presentations import CATALOG, GroupPresentation, catalog
 from wordproblem.words import GenLetter, free_reduce, make_word, parse_word
 
 
@@ -405,3 +405,182 @@ def test_delta_matches_the_triple_scan_on_a5():
 def test_delta_exact_values(name, delta):
     presentation = PERMUTATION_MODELS["A5"][0] if name == "A5" else dihedral(int(name[1:]))[0]
     assert estimate_delta(to_cayley_graph(todd_coxeter(presentation, 4096))) == delta
+
+
+# ------------------------------------------------- lazy enumeration oracle
+# The enumerator with lazy coincidences: rows of dead cosets stay named in
+# the table, and every read goes through find.  Under find the table is
+# the same congruence closure as the eager one, so the rows and the
+# status must agree, partial tables included.
+
+
+class _OracleBudget(Exception):
+    pass
+
+
+def oracle_todd_coxeter(p, max_cosets):
+    cols = 2 * p.n_gens
+    relators = [[2 * letter.index + (letter.sign < 0) for letter in r] for r in p.relators]
+
+    table = [[None] * cols]
+    parent = [0]
+    pending = deque()
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def define(alpha, c):
+        if len(table) >= max_cosets:
+            raise _OracleBudget
+        beta = len(table)
+        table.append([None] * cols)
+        parent.append(beta)
+        table[alpha][c] = beta
+        table[beta][c ^ 1] = alpha
+        return beta
+
+    def deduce(alpha, c, beta):
+        alpha, beta = find(alpha), find(beta)
+        t = table[alpha][c]
+        if t is not None:
+            if find(t) != beta:
+                pending.append((find(t), beta))
+                process()
+            return
+        table[alpha][c] = beta
+        u = table[beta][c ^ 1]
+        if u is None:
+            table[beta][c ^ 1] = alpha
+        elif find(u) != alpha:
+            pending.append((find(u), alpha))
+            process()
+
+    def process():
+        while pending:
+            x, y = pending.popleft()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            lo, hi = (x, y) if x < y else (y, x)
+            parent[hi] = lo
+            row = table[hi]
+            for c in range(cols):
+                t = row[c]
+                if t is None:
+                    continue
+                u = table[lo][c]
+                if u is None:
+                    table[lo][c] = t
+                elif find(u) != find(t):
+                    pending.append((find(u), find(t)))
+
+    def scan_and_fill(alpha, rel):
+        f, i = alpha, 0
+        b, j = alpha, len(rel)
+        while True:
+            while i < j:
+                t = table[find(f)][rel[i]]
+                if t is None:
+                    break
+                f = find(t)
+                i += 1
+            while j > i:
+                t = table[find(b)][rel[j - 1] ^ 1]
+                if t is None:
+                    break
+                b = find(t)
+                j -= 1
+            if i == j:
+                f, b = find(f), find(b)
+                if f != b:
+                    pending.append((f, b))
+                    process()
+                return
+            if i == j - 1:
+                deduce(find(f), rel[i], find(b))
+                return
+            f = define(find(f), rel[i])
+            i += 1
+
+    status = TableStatus.COMPLETE
+    try:
+        alpha = 0
+        while alpha < len(table):
+            if find(alpha) != alpha:
+                alpha += 1
+                continue
+            for rel in relators:
+                scan_and_fill(alpha, rel)
+                if find(alpha) != alpha:
+                    break
+            if find(alpha) == alpha:
+                for c in range(cols):
+                    if table[alpha][c] is None:
+                        define(alpha, c)
+            alpha += 1
+    except _OracleBudget:
+        status = TableStatus.BUDGET_EXCEEDED
+
+    live = [x for x in range(len(table)) if find(x) == x]
+    renumber = {old: new for new, old in enumerate(live)}
+    rows = tuple(
+        tuple(renumber[find(t)] if t is not None else None for t in table[old])
+        for old in live
+    )
+    return rows, status
+
+
+def letters_over(n_gens, min_size=0, max_size=None):
+    letter = st.builds(GenLetter, st.integers(0, n_gens - 1), st.sampled_from((1, -1)))
+    return st.lists(letter, min_size=min_size, max_size=max_size).map(tuple)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+           st.just(n), st.lists(letters_over(n, 1, 10), max_size=4))),
+       st.integers(1, 300))
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_todd_coxeter_matches_the_lazy_oracle(generators_and_relators, budget):
+    n_gens, relators = generators_and_relators
+    p = GroupPresentation(n_gens, tuple(relators))
+    table = todd_coxeter(p, budget)
+    assert (table.rows, table.status) == oracle_todd_coxeter(p, budget)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 10, 100, 1000])
+@pytest.mark.parametrize("name", [name for name, (build, _) in CATALOG.items()
+                                  if isinstance(build(), GroupPresentation)])
+def test_todd_coxeter_matches_the_lazy_oracle_on_catalog(name, budget):
+    p = catalog(name)
+    table = todd_coxeter(p, budget)
+    assert (table.rows, table.status) == oracle_todd_coxeter(p, budget)
+
+
+@pytest.mark.parametrize("name", PERMUTATION_MODELS)
+def test_todd_coxeter_matches_the_lazy_oracle_on_finite_groups(name):
+    p = PERMUTATION_MODELS[name][0]
+    table = todd_coxeter(p, 4096)
+    assert (table.rows, table.status) == oracle_todd_coxeter(p, 4096)
+
+
+PERMUTATION_GRAPHS = {name: to_cayley_graph(todd_coxeter(p, 4096))
+                      for name, (p, _) in PERMUTATION_MODELS.items()}
+
+
+@given(st.sampled_from(sorted(PERMUTATION_MODELS)).flatmap(lambda name: st.tuples(
+           st.just(name),
+           letters_over(PERMUTATION_MODELS[name][0].n_gens, max_size=60),
+           st.integers(0, 10**6))))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_trace_matches_a_letter_by_letter_walk(case):
+    name, word, start = case
+    graph = PERMUTATION_GRAPHS[name]
+    start %= graph.n_vertices
+    vertex = start
+    for letter in word:
+        vertex = graph.neighbors[vertex][2 * letter.index + (letter.sign < 0)]
+    assert graph.trace(word, start) == vertex

@@ -239,6 +239,11 @@ class TestNormalization:
         with pytest.raises(ValueError, match=r"^malformed letter GenLetter\(index=-1, sign=1\)$"):
             GroupPresentation(2, relators)
 
+    def test_plain_tuple_relator_letters_rejected(self):
+        # once an AttributeError from cyclic_reduce
+        with pytest.raises(ValueError, match=r"^malformed letter \(0, 1\)$"):
+            GroupPresentation(2, (((0, 1), (1, 1)),))
+
     def test_useless_equation_flagged(self):
         p = SemigroupPresentation(2, (("ab", "ab"), ("a", "b")))
         assert p.trivial_equations() == [0]

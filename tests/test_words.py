@@ -14,6 +14,7 @@ from wordproblem.words import (
     concat,
     cyclic_reduce,
     declarations,
+    distinct_letters,
     exponent_vector,
     format_plain,
     format_word,
@@ -189,6 +190,17 @@ class TestCheckWord:
             check_word(w("acCd"), 2)
         with pytest.raises(ValueError, match="^letter index 3 out of range for 2 generators$"):
             check_word(w("adc"), 2)
+
+    def test_distinct_letters_in_first_occurrence_order(self):
+        assert list(distinct_letters(w("bAbaAB"), 2)) == list(w("bAaB"))
+        assert list(distinct_letters(EPSILON)) == []
+
+    def test_exponent_vector_rejects_plain_tuples(self):
+        # once a TypeError; the tuple after an equal GenLetter must not
+        # hide behind it
+        for word in (((0, 1),), (GenLetter(0, 1), (0, 1))):
+            with pytest.raises(ValueError, match=r"^malformed letter \(0, 1\)$"):
+                exponent_vector(word, 2)
 
     def test_make_word_checks(self):
         assert make_word([(0, 1), (1, -1)]) == w("aB")
