@@ -73,24 +73,32 @@ def apply_rule(w: str, sys: RewriteSystem, rule_index: int, pos: int) -> str:
     return w[:pos] + rhs + w[pos + len(lhs):]
 
 
-def successors(w: str, sys: RewriteSystem) -> List[Tuple[str, int, int]]:
-    """All one-step rewrites of w as (word, rule index, position).
-
-    Ordered by (position, rule index) and deduplicated by resulting word,
-    keeping the first witness, so the result is deterministic.
-    """
+def _moves(w: str, rules: Tuple[Tuple[str, str], ...]) -> List[Tuple[str, Tuple[int, int]]]:
+    """Every one-step rewrite of w as (word, (rule index, position)),
+    ordered by (position, rule index), duplicates included."""
     hits = []
-    for idx, (lhs, _) in enumerate(sys.rules):
+    for idx, (lhs, _) in enumerate(rules):
         pos = w.find(lhs)
         while pos != -1:
             hits.append((pos, idx))
             pos = w.find(lhs, pos + 1)
     hits.sort()
     out = []
-    seen = set()
     for pos, idx in hits:
-        lhs, rhs = sys.rules[idx]
-        word = w[:pos] + rhs + w[pos + len(lhs):]
+        lhs, rhs = rules[idx]
+        out.append((w[:pos] + rhs + w[pos + len(lhs):], (idx, pos)))
+    return out
+
+
+def successors(w: str, sys: RewriteSystem) -> List[Tuple[str, int, int]]:
+    """All one-step rewrites of w as (word, rule index, position).
+
+    Ordered by (position, rule index) and deduplicated by resulting word,
+    keeping the first witness, so the result is deterministic.
+    """
+    out = []
+    seen = set()
+    for word, (idx, pos) in _moves(w, sys.rules):
         if word not in seen:
             seen.add(word)
             out.append((word, idx, pos))
@@ -140,7 +148,8 @@ def search_equivalence(
     check_letters(w2, sys.alphabet_size)
 
     def succ(w):
-        return [(word, (idx, pos)) for word, idx, pos in successors(w, sys)]
+        # no deduplication here: the search keeps the first witness of each word
+        return _moves(w, sys.rules)
 
     if sys.kind is SystemKind.THUE:
         swap = _swap_index_map(sys)

@@ -11,10 +11,19 @@ Positions are direction strings over 'L'/'R' ('' is the root).  A rule
 lhs => rhs rewrites a matched subterm by the substituted right side;
 used symmetrically (both orientations) this gives the tree analogue of
 word equivalence, searched with the same bounded engine as strings.
-The successors of a term come from one walk over it in preorder: at
-each subterm the rules are tried in order, forward before reverse, then
-the walk enters the left child and then the right one, rebuilding each
-rewrite around the untouched sibling on the way back.
+
+Each rule side is compiled once into closures: the matched side into a
+matcher (a node test per pattern node, an equality test per constant
+leaf, a bind or compare per variable) and the replacing side into a
+builder over the matcher's bindings.  A rule list's plan, the
+(index, direction, matcher, builder) of every rule, forward before
+reverse, is kept in a small cache.  The successors of a term come from
+one iterative walk over it in preorder with an explicit stack: at each
+subterm the plan is tried in order, then the walk enters the left child
+and then the right one.  Each stack entry keeps its ancestors as a
+linked chain, along which a rewrite is rebuilt around the untouched
+siblings, so depth costs no Python recursion.  The search takes these
+moves as they come; its visited map keeps the first witness of a term.
 
 Text format: leaves are bare names ('A', '?x', 'A:p'), nodes are
 parenthesized pairs: ((A B) C).  Rules are written 'lhs => rhs'.
@@ -22,9 +31,11 @@ parenthesized pairs: ((A B) C).  Rules are written 'lhs => rhs'.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .search import DerivationTrace, SearchOutcome, class_search, replay
 from .words import at_line, read_declarations
@@ -86,19 +97,41 @@ class TreeRule:
         return variables(self.lhs) == variables(self.rhs)
 
 
-def _match(p: Term, s: Term, binding: Dict[str, Term]) -> bool:
-    """Extend binding so that p instantiates to s; False if it cannot."""
-    if isinstance(p, Leaf):
-        if p.is_var():
-            if p.tag is not None and not (isinstance(s, Leaf) and s.tag == p.tag):
-                return False
-            if p.name in binding:
-                return binding[p.name] == s
-            binding[p.name] = s
-            return True
-        return s == p  # a Node, a pair of terms, never equals a Leaf
-    return (isinstance(s, Node) and _match(p.left, s.left, binding)
-            and _match(p.right, s.right, binding))
+def _matcher(p: Term, slots: Dict[str, int]) -> Callable[[Term, list], bool]:
+    """A function (subject, env) -> bool that tests whether p instantiates to
+    the subject, appending each variable's value to env at its first
+    occurrence in preorder; slots records that order (name -> index)."""
+    if type(p) is Node:
+        left, right = _matcher(p.left, slots), _matcher(p.right, slots)
+        return lambda s, env: type(s) is Node and left(s[0], env) and right(s[1], env)
+    if not p.is_var():
+        return lambda s, env: s == p  # a Node, a pair of terms, never equals a Leaf
+    tag = p.tag
+    if p.name in slots:
+        i = slots[p.name]
+        if tag is None:
+            return lambda s, env: env[i] == s
+        return lambda s, env: type(s) is Leaf and s[1] == tag and env[i] == s
+    slots[p.name] = len(slots)
+    if tag is None:
+        return lambda s, env: env.append(s) or True
+    return lambda s, env: type(s) is Leaf and s[1] == tag and (env.append(s) or True)
+
+
+def _builder(t: Term, slots: Dict[str, int]) -> Callable[[list], Term]:
+    """A function env -> t with every variable replaced by its value in env,
+    at its index in slots; a variable outside slots raises when built."""
+    if type(t) is Node:
+        left, right = _builder(t.left, slots), _builder(t.right, slots)
+        return lambda env: Node(left(env), right(env))
+    if not t.is_var():
+        return lambda env: t
+    if t.name in slots:
+        return operator.itemgetter(slots[t.name])
+
+    def unbound(env):
+        raise ValueError(f"unbound variable {t.name}")
+    return unbound
 
 
 def match_subst(pattern: Term, subject: Term) -> Optional[Dict[str, Term]]:
@@ -107,18 +140,14 @@ def match_subst(pattern: Term, subject: Term) -> Optional[Dict[str, Term]]:
     Repeated variables must bind to equal subterms; a tagged variable
     matches only a leaf carrying the same tag.
     """
-    binding: Dict[str, Term] = {}
-    return binding if _match(pattern, subject, binding) else None
+    slots: Dict[str, int] = {}
+    env = []
+    return dict(zip(slots, env)) if _matcher(pattern, slots)(subject, env) else None
 
 
 def substitute(t: Term, binding: Dict[str, Term]) -> Term:
-    if isinstance(t, Leaf):
-        if t.is_var():
-            if t.name not in binding:
-                raise ValueError(f"unbound variable {t.name}")
-            return binding[t.name]
-        return t
-    return Node(substitute(t.left, binding), substitute(t.right, binding))
+    slots = {name: i for i, name in enumerate(binding)}
+    return _builder(t, slots)(list(binding.values()))
 
 
 def _sides(rule: TreeRule, direction: str) -> Tuple[Term, Term]:
@@ -130,25 +159,31 @@ def _sides(rule: TreeRule, direction: str) -> Tuple[Term, Term]:
     raise ValueError(f"direction must be {FORWARD!r} or {REVERSE!r}")
 
 
-def _oriented(rules: List[TreeRule]) -> List[tuple]:
-    """(index, direction, matched side, replacing side) of every rule,
-    forward before reverse; every rule must carry the same variables on
-    both sides."""
-    out = []
+def _compile(src: Term, dst: Term) -> Tuple[Callable, Callable]:
+    """The matcher of src and the builder of dst over the matcher's env."""
+    slots: Dict[str, int] = {}
+    return _matcher(src, slots), _builder(dst, slots)
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(rules: Tuple[TreeRule, ...]) -> Tuple[tuple, ...]:
+    """(index, direction, matcher, builder) of every rule, forward before
+    reverse; every rule must carry the same variables on both sides."""
+    plan = []
     for idx, rule in enumerate(rules):
         if not rule.is_reversible():
             raise ValueError(
                 f"rule {idx} cannot be applied in reverse: "
                 "its sides carry different variables"
             )
-        out += [(idx, d, *_sides(rule, d)) for d in (FORWARD, REVERSE)]
-    return out
+        plan += [(idx, d, *_compile(*_sides(rule, d))) for d in (FORWARD, REVERSE)]
+    return tuple(plan)
 
 
 def apply_tree_rule(t: Term, rule: TreeRule, path: str, direction: str = FORWARD) -> Term:
     """Rewrite the subterm addressed by path; it must match the rule side.
     The nodes above it are collected on the way down and rebuilt upwards."""
-    src, dst = _sides(rule, direction)
+    match, build = _compile(*_sides(rule, direction))
     spine = []
     for d in path:
         if not isinstance(t, Node):
@@ -157,27 +192,39 @@ def apply_tree_rule(t: Term, rule: TreeRule, path: str, direction: str = FORWARD
             raise ValueError(f"path direction must be L or R, got {d!r}")
         spine.append(t)
         t = t.left if d == "L" else t.right
-    binding = match_subst(src, t)
-    if binding is None:
+    env = []
+    if not match(t, env):
         raise ValueError(f"rule does not match at path {path!r}")
-    t = substitute(dst, binding)
+    t = build(env)
     for node, d in zip(reversed(spine), reversed(path)):
         t = Node(t, node.right) if d == "L" else Node(node.left, t)
     return t
 
 
-def _rewrites(t: Term, oriented: List[tuple], path: str) -> Iterator[Tuple[Term, TreeStep]]:
-    """Every one-step rewrite of the subterm t at path, in preorder."""
-    for idx, direction, src, dst in oriented:
-        binding: Dict[str, Term] = {}
-        if _match(src, t, binding):
-            yield substitute(dst, binding), TreeStep(idx, direction, path)
-    if isinstance(t, Node):
-        left, right = t.left, t.right
-        for sub, step in _rewrites(left, oriented, path + "L"):
-            yield Node(sub, right), step
-        for sub, step in _rewrites(right, oriented, path + "R"):
-            yield Node(left, sub), step
+def _moves(t: Term, plan: Tuple[tuple, ...]) -> List[Tuple[Term, TreeStep]]:
+    """Every one-step rewrite of t under the plan, duplicates included: the
+    subterms in preorder, at each one the plan in order.  A stack entry is
+    a subterm and its chain of ancestors, (node, 'L' or 'R', the node's
+    own chain), along which a rewrite is rebuilt and its path read."""
+    out = []
+    stack = [(t, None)]
+    while stack:
+        s, chain = stack.pop()
+        for idx, direction, match, build in plan:
+            env = []
+            if match(s, env):
+                r = build(env)
+                dirs = []
+                up = chain
+                while up is not None:
+                    node, d, up = up
+                    r = Node(r, node[1]) if d == "L" else Node(node[0], r)
+                    dirs.append(d)
+                out.append((r, TreeStep(idx, direction, "".join(reversed(dirs)))))
+        if type(s) is Node:
+            stack.append((s[1], (s, "R", chain)))
+            stack.append((s[0], (s, "L", chain)))
+    return out
 
 
 def tree_successors(t: Term, rules: List[TreeRule]) -> List[Tuple[Term, TreeStep]]:
@@ -189,7 +236,7 @@ def tree_successors(t: Term, rules: List[TreeRule]) -> List[Tuple[Term, TreeStep
     """
     out = []
     seen = set()
-    for result, step in _rewrites(t, _oriented(rules), ""):
+    for result, step in _moves(t, _plan(tuple(rules))):
         if result not in seen:
             seen.add(result)
             out.append((result, step))
@@ -219,11 +266,12 @@ def search_tree_equivalence(
     same variables on both sides (otherwise the reversed orientation
     would have unbound variables and infinitely many instances).
     """
-    _oriented(rules)  # also when a == b, which expands nothing
+    plan = _plan(tuple(rules))  # also when a == b, which expands nothing
+    # no deduplication here: the search keeps the first witness of each term
     return class_search(
         a,
         b,
-        lambda t: tree_successors(t, rules),
+        lambda t: _moves(t, plan),
         TreeStep.reversed,
         lambda t: (term_size(t), format_term(t)),
         budget,

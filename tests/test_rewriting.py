@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordproblem.presentations import catalog
 from wordproblem.rewriting import (
@@ -17,7 +19,7 @@ from wordproblem.rewriting import (
     successors,
     thue_closure,
 )
-from wordproblem.search import SearchStatus
+from wordproblem.search import SearchStatus, class_search, forward_search
 
 CEIJTIN = from_semigroup(catalog("ceijtin"))
 
@@ -306,3 +308,49 @@ class TestTextFormat:
             parse_system("rule: a -> b\n")
         with pytest.raises(ValueError):
             parse_system("alpha: a b\nkind: sideways\n")
+
+
+# The search loop takes every rewrite as it comes and leaves the first
+# witness of each word to its visited map; the oracle feeds the same loop
+# the deduplicated successors of the independent scanner instead.
+
+
+def oracle_search_equivalence(w1, w2, sys, budget):
+    def succ(w):
+        return [(word, (idx, pos)) for word, idx, pos in naive_successors(w, sys)]
+
+    if sys.kind is SystemKind.SEMI_THUE:
+        return forward_search(w1, w2, succ, budget)
+    first = {}
+    for idx, rule in enumerate(sys.rules):
+        first.setdefault(rule, idx)
+    swap = [first[(rhs, lhs)] for lhs, rhs in sys.rules]
+    return class_search(w1, w2, succ, lambda step: (swap[step[0]], step[1]),
+                        lambda w: (len(w), w), budget)
+
+
+@st.composite
+def small_searches(draw):
+    """A semi-Thue or Thue system over 2-3 letters and two words over them."""
+    letters = "abc"[:draw(st.integers(2, 3))]
+    kind = draw(st.sampled_from(["semithue", "closure", "shuffled"]))
+    side = st.text(alphabet=letters, min_size=1, max_size=3)
+    rhs = st.text(alphabet=letters, max_size=3) if kind == "semithue" else side
+    rules = draw(st.lists(st.tuples(side, rhs), min_size=1, max_size=4))
+    sys = RewriteSystem(len(letters), tuple(rules))
+    if kind == "closure":
+        sys = thue_closure(sys)
+    elif kind == "shuffled":
+        # swaps interleaved and repeated, as a symmetric system may list them
+        rules = draw(st.permutations(rules + [(r, l) for l, r in rules] + rules[:1]))
+        sys = RewriteSystem(len(letters), tuple(rules), SystemKind.THUE)
+    word = st.text(alphabet=letters, max_size=6)
+    return sys, draw(word), draw(word)
+
+
+@given(small_searches(), st.integers(1, 40))
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_search_equivalence_matches_the_deduplicating_oracle(search, budget):
+    sys, w1, w2 = search
+    assert search_equivalence(w1, w2, sys, budget) == \
+        oracle_search_equivalence(w1, w2, sys, budget)

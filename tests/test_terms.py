@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordproblem.rewriting import RewriteSystem, search_equivalence, thue_closure
-from wordproblem.search import DerivationTrace, SearchStats, SearchStatus
+from wordproblem.search import DerivationTrace, SearchStats, SearchStatus, class_search
 from wordproblem.terms import (
     ASSOCIATIVITY,
     FORWARD,
@@ -597,3 +597,63 @@ def test_apply_tree_rule_at_depth_3000():
     assert rewritten == Node(A, Node(B, C))
     with pytest.raises(ValueError, match="^rule does not match at path 'LLL"):
         apply_tree_rule(t, ASSOCIATIVITY, "L" * depth + "R")
+
+
+@st.composite
+def reversible_rules(draw):
+    """A rule whose sides carry the same variables: the right side's other
+    variables become A, and the left side's missing ones are hung on it."""
+    lhs = draw(PATTERNS)
+    rhs = bind_or_drop(draw(PATTERNS), variables(lhs))
+    for name in sorted(variables(lhs) - variables(rhs)):
+        rhs = Node(rhs, Leaf(name))
+    return TreeRule(lhs, rhs)
+
+
+# repeated and tagged variables, constant leaves, and sides rooted at a variable
+NAMED_RULES = [parse_tree_rule(text) for text in (
+    "?x => (?x ?x)",
+    "(?x ?x) => (?x (?x A))",
+    "(?x:p ?y) => (?y ?x:p)",
+    "(A ?x) => (?x B:q)",
+    "(?x ?y) => (?y ?x)",
+)] + [ASSOCIATIVITY]
+
+
+@st.composite
+def tree_searches(draw):
+    """A term, a reversible rule list, and a second term: a random one or
+    one a few oracle steps away."""
+    a = draw(st.builds(Node, term_trees(GROUND, 3), term_trees(GROUND, 3)))
+    rules = draw(st.lists(st.one_of(reversible_rules(), st.sampled_from(NAMED_RULES)),
+                          min_size=1, max_size=3))
+    b = a
+    for pick in draw(st.lists(st.integers(0, 99), min_size=1, max_size=4)):
+        moves = oracle_tree_successors(b, rules)
+        b = moves[pick % len(moves)][0] if moves else b
+    return a, draw(st.one_of(st.just(b), term_trees(GROUND, 6))), rules
+
+
+@given(tree_searches(), st.integers(1, 30))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_search_matches_the_oracle_successors(search, budget):
+    # the search takes every rewrite as it comes; its visited map must
+    # keep the same first witnesses as the deduplicated oracle list
+    a, b, rules = search
+    oracle = class_search(a, b, lambda t: oracle_tree_successors(t, rules),
+                          TreeStep.reversed, lambda t: (term_size(t), format_term(t)), budget)
+    assert search_tree_equivalence(a, b, rules, budget) == oracle
+
+
+def test_successors_of_a_right_comb_of_1200_leaves():
+    t = Leaf("X1200")
+    for k in range(1199, 0, -1):
+        t = Node(Leaf(f"X{k}"), t)
+    found = tree_successors(t, [ASSOCIATIVITY])
+    # the reverse side matches at every node but the last, top down
+    assert [step for _, step in found] == [TreeStep(0, REVERSE, "R" * k) for k in range(1198)]
+    rebuilt, _ = found[-1]
+    for k in range(1, 1198):
+        assert rebuilt.left == Leaf(f"X{k}")
+        rebuilt = rebuilt.right
+    assert rebuilt == Node(Node(Leaf("X1198"), Leaf("X1199")), Leaf("X1200"))
