@@ -1,16 +1,17 @@
 """Alternated parent/change benchmark pairs and the associativity ladder.
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_N.json
-        [--pairs 10] [--seconds 20] [--seed-base 1400] [--workload W ...]
-        [--leaves 8 9 10 11]
+        [--seed-base 1400] [--claim TEXT]
 
 Run from the root of a checkout.  The change side is a copy of its
 working tree (the files git tracks or would track), the parent side is
 ``git archive REV``; each is unpacked into a temporary directory, so
-neither side starts with cached bytecode.  Pair k runs every workload with seed base + k, parent first
-when k is even, through ``bench/run.py --trace 0`` of each side, before
-pair k + 1 starts.  Per workload and end-to-end metric the output holds
-both sides' median and quartiles and the pairs the change won.
+neither side starts with cached bytecode.  Ten pairs run; pair k runs
+every workload of ``BENCHMARK.json`` for its ``run_seconds`` with seed
+base + k, parent first when k is even, through ``bench/run.py --trace 0``
+of each side, before pair k + 1 starts.  Per workload and end-to-end
+metric the output holds both sides' median and quartiles and the pairs
+the change won.
 
 The ladder times ``search_tree_equivalence`` from the left comb of n
 leaves to the left comb rotated by one leaf under associativity, which
@@ -23,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
@@ -32,6 +35,8 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+LEAVES = [8, 9, 10, 11]
 
 LADDER_CHILD = """
 import json, sys, time
@@ -105,9 +110,9 @@ def workload_table(runs, seeds, metrics):
     return table
 
 
-def ladder(parent: Path, change: Path, leaves):
+def ladder(parent: Path, change: Path):
     def round_(checkout):
-        code = LADDER_CHILD.format(src=str(checkout / "src"), leaves=list(leaves))
+        code = LADDER_CHILD.format(src=str(checkout / "src"), leaves=LEAVES)
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
         return json.loads(done.stdout)  # [seconds, expanded] per size
@@ -122,9 +127,9 @@ def ladder(parent: Path, change: Path, leaves):
                     "one leaf, [ASSOCIATIVITY]), refuted-exhausted; each round takes the "
                     "best of 3 runs, rounds ran in the order parent, change, change, "
                     "parent, and each size reports its lowest round"),
-           "leaves": list(leaves), "states": states}
+           "leaves": LEAVES, "states": states}
     for side, side_rounds in rounds.items():
-        best = [round(min(r[i][0] for r in side_rounds), 4) for i in range(len(leaves))]
+        best = [round(min(r[i][0] for r in side_rounds), 4) for i in range(len(LEAVES))]
         out[f"{side}_s"] = best
         out[f"{side}_ratio_per_leaf"] = [round(b / a, 2) for a, b in zip(best, best[1:])]
     return out
@@ -134,16 +139,13 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--out", required=True, help="JSON file to write")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--seed-base", type=int, default=1400)
-    ap.add_argument("--workload", action="append", help="default: every workload")
-    ap.add_argument("--leaves", type=int, nargs="*", default=[8, 9, 10, 11])
     ap.add_argument("--claim", default="", help="the gain the change claims, in words")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True,
                          text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
@@ -158,34 +160,34 @@ def main(argv=None):
                                      check=True).stdout
             subprocess.run(["tar", "-x", "-C", str(checkout)], input=archive, check=True)
         runs = {w: [] for w in workloads}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             for w in workloads:
                 seed = args.seed_base + k
                 sides = [(0, parent), (1, change)]
                 pair = [None, None]
                 for i, checkout in (sides if k % 2 == 0 else sides[::-1]):
-                    pair[i] = run_bench(checkout, w, seed, args.seconds)
+                    pair[i] = run_bench(checkout, w, seed, seconds)
                 runs[w].append(pair)
                 print(f"pair {k} {w}: " + " ".join(
                     f"{side} {pair[i]['metrics']['queries_per_s']['value']:.1f}/s"
                     for i, side in enumerate(("parent", "change"))), file=sys.stderr)
-        seeds = [args.seed_base + k for k in range(args.pairs)]
+        seeds = [args.seed_base + k for k in range(PAIRS)]
         out = {
             "parent": rev,
             "change": "the commit that adds this file",
             "python": platform.python_version(),
-            "host": f"{platform.system()}, {platform.machine()}",
-            "command": (f"python3 bench/run.py --workload W --seed S --seconds "
-                        f"{args.seconds:g} --trace 0"),
+            "host": f"{platform.system()}, {platform.machine()}, {os.cpu_count()} CPUs",
+            "command": (f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} "
+                        "--trace 0, run by python3 scripts/bench_pairs.py "
+                        + " ".join(shlex.quote(a) for a in sys.argv[1:])),
             "order": ("pairs alternate which side runs first, parent first on even pair "
                       f"index; pair k runs every workload with seed {args.seed_base} + k "
                       "before pair k + 1 starts"),
             "claim": args.claim,
             "workloads": {w: workload_table(runs[w], seeds, spec["end_to_end"])
                           for w in workloads},
+            "ladder": ladder(parent, change),
         }
-        if args.leaves:
-            out["ladder"] = ladder(parent, change, args.leaves)
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
