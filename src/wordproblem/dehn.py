@@ -18,17 +18,17 @@ on the presentation: its relators are coded as strings, one character
 per letter, closed under cyclic shifts and inversion, and indexed by
 their shortest majority prefix r[:|r|//2 + 1]; the C'(1/6) certificate
 is computed when first needed and kept with them.  A call codes the
-word once, so the input's free reduction, the scan and the seam
-reduction compare characters, slicing and concatenation are copies done
-in C, and the final word is decoded once at the end.  A majority match
-at a position exists exactly when one of the prefixes starts there, so
-a position costs one dict lookup per distinct prefix length.  After a
-replacement only the two seams (left part against b^-1, then against
-the right part) are freely reduced, and the scan resumes just left of
-the first changed letter: windows further left are unchanged and were
-already rejected (Domanski and Anshel, J. Algorithms 1985).  So for a
-fixed presentation the positions scanned are linear in |w|; each
-replacement also copies the word string once.
+word once, so the input's free reduction, the scan and the meet of a
+deleted relator's sides compare characters, slicing and concatenation
+are copies done in C, and the final word is decoded once at the end.  A
+majority match at a position exists exactly when one of the prefixes
+starts there, so a position costs one dict lookup per distinct prefix
+length.  The inserted b^-1 never cancels against its neighbours (see
+_replace); only a whole relator's deletion lets the sides meet.  The
+scan resumes just left of the first changed letter: windows further
+left are unchanged and were already rejected (Domanski and Anshel, J.
+Algorithms 1985).  So for a fixed presentation the positions scanned
+are linear in |w|; each replacement also copies the word string once.
 """
 
 from __future__ import annotations
@@ -181,26 +181,24 @@ def _scan(w: str, start: int, index: list) -> Optional[DehnStep]:
 
 
 def _replace(w: str, inverses: list, step: DehnStep) -> Tuple[str, int]:
-    """w with the step applied and freely reduced, and the length of the
-    prefix of w it keeps unchanged.  w must be freely reduced, so only
-    the seams around the inserted b^-1 can cancel."""
+    """w with a replaced by b^-1, and the length of the prefix of w it
+    keeps unchanged; when b is empty the two sides meet and cancel.
+    On a set closed under cyclic shifts, b^-1 cancels against neither
+    neighbour of a freely reduced w.  A right cancel needs the letter
+    after the match to be b's first letter, which would make the scan's
+    longest match one letter longer.  A left cancel needs the letter
+    before it to be b's last letter; then the shift b_last*a*b[:-1] has
+    a majority prefix at pos - 1, which the leftmost scan, or a
+    rejection left of its start that still holds, would have taken."""
     inverse = inverses[step.relator]
-    mid = inverse[: len(inverse) - step.replaced]
     left = step.pos
     right = step.pos + step.replaced
-    j = 0
-    while left and j < len(mid) and ord(w[left - 1]) ^ 1 == ord(mid[j]):
+    if step.replaced < len(inverse):
+        return w[:left] + inverse[: len(inverse) - step.replaced] + w[right:], left
+    while left and right < len(w) and ord(w[left - 1]) ^ 1 == ord(w[right]):
         left -= 1
-        j += 1
-    t = len(mid)
-    while t > j and right < len(w) and ord(mid[t - 1]) ^ 1 == ord(w[right]):
-        t -= 1
         right += 1
-    if t == j:
-        while left and right < len(w) and ord(w[left - 1]) ^ 1 == ord(w[right]):
-            left -= 1
-            right += 1
-    return w[:left] + mid[j:t] + w[right:], left
+    return w[:left] + w[right:], left
 
 
 def dehn_step(w: Word, s: SymmetrizedRelators) -> Optional[Tuple[Word, DehnStep]]:
@@ -214,7 +212,9 @@ def dehn_step(w: Word, s: SymmetrizedRelators) -> Optional[Tuple[Word, DehnStep]
     step = _scan(code, 0, prep.index)
     if step is None:
         return None
-    return tuple(map(decode.__getitem__, _replace(code, prep.inverses, step)[0])), step
+    # a set not closed under cyclic shifts may cancel b^-1 on its left
+    reduced = _free_reduce(_replace(code, prep.inverses, step)[0])
+    return tuple(map(decode.__getitem__, reduced)), step
 
 
 def dehn_solve(w: Word, p: GroupPresentation) -> DehnOutcome:

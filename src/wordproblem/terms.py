@@ -17,7 +17,7 @@ matcher (a node test per pattern node, an equality test per constant
 leaf, a bind or compare per variable) and the replacing side into a
 builder over the matcher's bindings.  A rule list's plan, the
 (index, direction, matcher, builder) of every rule, forward before
-reverse, is kept in a small cache.  The successors of a term come from
+reverse, is built anew per call.  The successors of a term come from
 one iterative walk over it in preorder with an explicit stack: at each
 subterm the plan is tried in order, then the walk enters the left child
 and then the right one.  Each stack entry keeps its ancestors as a
@@ -31,7 +31,6 @@ parenthesized pairs: ((A B) C).  Rules are written 'lhs => rhs'.
 
 from __future__ import annotations
 
-import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -165,8 +164,7 @@ def _compile(src: Term, dst: Term) -> Tuple[Callable, Callable]:
     return _matcher(src, slots), _builder(dst, slots)
 
 
-@functools.lru_cache(maxsize=16)
-def _plan(rules: Tuple[TreeRule, ...]) -> Tuple[tuple, ...]:
+def _plan(rules: List[TreeRule]) -> Tuple[tuple, ...]:
     """(index, direction, matcher, builder) of every rule, forward before
     reverse; every rule must carry the same variables on both sides."""
     plan = []
@@ -236,7 +234,7 @@ def tree_successors(t: Term, rules: List[TreeRule]) -> List[Tuple[Term, TreeStep
     """
     out = []
     seen = set()
-    for result, step in _moves(t, _plan(tuple(rules))):
+    for result, step in _moves(t, _plan(rules)):
         if result not in seen:
             seen.add(result)
             out.append((result, step))
@@ -266,7 +264,7 @@ def search_tree_equivalence(
     same variables on both sides (otherwise the reversed orientation
     would have unbound variables and infinitely many instances).
     """
-    plan = _plan(tuple(rules))  # also when a == b, which expands nothing
+    plan = _plan(rules)  # also when a == b, which expands nothing
     # no deduplication here: the search keeps the first witness of each term
     return class_search(
         a,

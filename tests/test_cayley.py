@@ -584,3 +584,13 @@ def test_trace_matches_a_letter_by_letter_walk(case):
     for letter in word:
         vertex = graph.neighbors[vertex][2 * letter.index + (letter.sign < 0)]
     assert graph.trace(word, start) == vertex
+
+
+@pytest.mark.parametrize("neighbors, message", [
+    (((0, 0), (1,)), "vertex 1: expected 2 edges"),
+    (((2, 0),), "vertex 0: edge target 2 out of range"),
+])
+def test_cayley_graph_guards(neighbors, message):
+    with pytest.raises(ValueError) as info:
+        CayleyGraph(1, neighbors)
+    assert str(info.value) == message

@@ -247,6 +247,13 @@ class TestErrors:
         (("tm-run", "--machine", "{}", "--input", "a"),
          "states: 3\nsymbols: a b\ntrans: q2 a -> q0 b R\nstates: 1\n",
          "line 4: repeated 'states:'"),
+        (("small-cancel", "--presentation", "{}"), "gens: a b\n",
+         "presentation has no relators"),
+        (("tm-run", "--machine", "{}", "--input", "a"),
+         "states: 1\nsymbols: a b\ntrans: q0 a -> q0 b R\ntrans: q0 a -> q0 a L\n",
+         "line 4: duplicate transition for q0,a"),
+        (("small-cancel", "--presentation", "{}"), "gens: a b\neq: ab\n",
+         "line 2: expected 'eq: g = h'"),
     ])
     def test_repeated_declaration_names_its_line(self, tmp_path, capsys, argv, text, message):
         path = tmp_path / "input.txt"

@@ -232,6 +232,63 @@ class TestDehnStep:
                 assert len(result[0]) < len(word)
 
 
+class TestReplacementSeams:
+    """Where b^-1 meets the letters around the replaced prefix a."""
+
+    OPEN = SymmetrizedRelators((w("abcd"),))  # not closed under cyclic shifts
+
+    def test_left_cancel_on_a_set_not_closed_under_shifts(self):
+        # the letter before abc is b's last letter d, so D cancels it
+        assert dehn_step(w("dabc"), self.OPEN) == ((), DehnStep(0, 1, 3))
+        assert dehn_step(w("cdabc"), self.OPEN) == (w("c"), DehnStep(0, 2, 3))
+
+
+@st.composite
+def presentation_and_word(draw):
+    """A random presentation, C'(1/6) or not, and a word of conjugated
+    relators, relator prefixes and single letters over its generators."""
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([SURFACE2, catalog("surface", genus=3)]))
+    else:
+        n_gens = draw(st.integers(1, 3))
+        letters = st.builds(GenLetter, st.integers(0, n_gens - 1), st.sampled_from((1, -1)))
+        relators = st.lists(st.lists(letters, max_size=10).map(tuple), max_size=3)
+        p = GroupPresentation(n_gens, tuple(draw(relators)))
+    letter = st.builds(GenLetter, st.integers(0, p.n_gens - 1), st.sampled_from((1, -1)))
+    word = ()
+    for _ in range(draw(st.integers(0, 8))):
+        if p.relators and draw(st.integers(0, 3)):
+            r = draw(st.sampled_from(p.relators))
+            k = draw(st.integers(0, len(r) - 1))
+            r = r[k:] + r[:k]
+            r = invert(r) if draw(st.booleans()) else r
+            u = tuple(draw(st.lists(letter, max_size=2)))
+            word += u + r[: draw(st.integers(len(r) // 2, len(r)))] + invert(u)
+        else:
+            word += (draw(letter),)
+    return p, word
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(presentation_and_word())
+def test_inserted_inverse_never_cancels_on_a_closed_set(case):
+    """Replayed on tuples, every step with b nonempty turns x*a*y into
+    exactly x*b^-1*y, already freely reduced."""
+    p, word = case
+    s = symmetrize(p)
+    outcome = dehn_solve(word, p)
+    current = free_reduce(word)
+    for step in outcome.trace:
+        r = s.words[step.relator]
+        end = step.pos + step.replaced
+        assert current[step.pos : end] == r[: step.replaced]
+        spliced = current[: step.pos] + invert(r[step.replaced :]) + current[end:]
+        if step.replaced < len(r):
+            assert free_reduce(spliced) == spliced, format_word(current)
+        current = free_reduce(spliced)
+    assert current == outcome.final_word
+
+
 class TestDehnSolve:
     def test_product_of_conjugates_is_trivial(self):
         relator = SURFACE2.relators[0]
@@ -335,6 +392,13 @@ class TestTraceReplay:
         bad = DehnStep(outcome.trace[0].relator, 3, 8)
         with pytest.raises(ValueError):
             replay_dehn_trace(relator, SYM2, (bad,))
+
+    def test_replay_rejects_bad_relator_index_and_minority_prefix(self):
+        word = SURFACE2.relators[0]
+        with pytest.raises(ValueError, match="relator index out of range$"):
+            replay_dehn_trace(word, SYM2, (DehnStep(len(SYM2.words), 0, 8),))
+        with pytest.raises(ValueError, match="not a majority prefix of relator$"):
+            replay_dehn_trace(word, SYM2, (DehnStep(0, 0, 4),))
 
 
 def relator_laden_word(rng, p, chunks):

@@ -9,6 +9,8 @@ from wordproblem.presentations import (
     SymmetrizedRelators,
     catalog,
     format_presentation,
+    free_abelian_presentation,
+    higman_truncated_presentation,
     max_piece_ratio,
     parse_presentation,
     symmetrize,
@@ -324,4 +326,16 @@ def test_format_refuses_more_than_26_generators():
 def test_relator_errors_name_their_line(text, message):
     with pytest.raises(ValueError) as info:
         parse_presentation(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GroupPresentation(0, ()), "a presentation needs at least one generator"),
+    (lambda: SemigroupPresentation(0, ()), "alphabet must be nonempty"),
+    (lambda: free_abelian_presentation(0), "rank must be >= 1"),
+    (lambda: higman_truncated_presentation((-1,)), "exponents must be >= 0"),
+])
+def test_constructor_guards(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
     assert str(info.value) == message

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wordproblem import reductions
 from wordproblem.reductions import (
     Configuration,
     TuringMachine,
@@ -16,7 +17,7 @@ from wordproblem.reductions import (
     tm_step,
     verify_simulation,
 )
-from wordproblem.rewriting import search_equivalence, successors
+from wordproblem.rewriting import RewriteSystem, search_equivalence, successors
 from wordproblem.search import SearchStatus
 
 
@@ -133,6 +134,46 @@ class TestVerifySimulation:
             machine = random_machine(rng)
             tape = tuple(rng.randrange(2) for _ in range(rng.randint(0, 4)))
             assert verify_simulation(machine, tape, 50)
+
+    @staticmethod
+    def broken_first_rule(monkeypatch, machine, tape, mend):
+        """Make encode return the system with the rule of the first move
+        replaced by mend(lhs, rhs), or dropped where mend gives None."""
+        real = reductions.encode(machine)
+        ((_, first, _),) = successors(real.start_word(tape), real.system)
+        rules = [rule if i != first else mend(*rule) for i, rule in enumerate(real.system.rules)]
+        system = RewriteSystem(real.system.alphabet_size, tuple(filter(None, rules)),
+                               real.system.kind)
+        monkeypatch.setattr(reductions, "encode",
+                            lambda m: reductions.TmEncoding(m, system, real.halt_word))
+
+    def test_fails_when_a_pre_halt_word_has_no_successor(self, monkeypatch):
+        machine = tm_catalog("unary_appender")
+        assert verify_simulation(machine, (1, 1), 10)
+        self.broken_first_rule(monkeypatch, machine, (1, 1), lambda lhs, rhs: None)
+        assert not verify_simulation(machine, (1, 1), 10)
+
+    def test_fails_when_the_successor_is_not_the_next_configuration(self, monkeypatch):
+        machine = tm_catalog("unary_appender")
+        self.broken_first_rule(monkeypatch, machine, (1, 1), lambda lhs, rhs: (lhs, rhs + rhs))
+        assert not verify_simulation(machine, (1, 1), 10)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TuringMachine(0, 2), "need at least one state and one symbol"),
+    (lambda: TuringMachine(2, 2, start_state=2), "start state out of range"),
+    (lambda: TuringMachine(1, 2, {(0, 0): (0, 5, "R")}), "bad transition (0,0) -> (0,5,R)"),
+    (lambda: tm_run(tm_catalog("loop_right"), (7,), 10), "tape symbol 7 out of range"),
+    (lambda: tm_run(tm_catalog("loop_right"), (), -1), "max_steps must be >= 0"),
+    (lambda: encode(TuringMachine(20, 5)), "machine too large for the letter alphabet"),
+    (lambda: verify_simulation(tm_catalog("loop_right"), (), -1), "k must be >= 0"),
+    (lambda: tm_catalog("nope"),
+     "unknown machine 'nope'; known: " + ", ".join(reductions.TM_CATALOG)),
+])
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestTextFormat:

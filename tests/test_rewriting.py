@@ -144,6 +144,11 @@ class TestThueClosure:
         with pytest.raises(ValueError):
             RewriteSystem(2, (("", "a"),))
 
+    @pytest.mark.parametrize("size", [0, 27])
+    def test_alphabet_size_out_of_range(self, size):
+        with pytest.raises(ValueError, match="^alphabet size must be between 1 and 26$"):
+            RewriteSystem(size, ())
+
 
 class TestSearchEquivalence:
     def test_one_step_proofs(self):

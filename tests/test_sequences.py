@@ -188,3 +188,13 @@ class TestFixedPointPrefix:
         for word in ("3", "01x", "0\u0661"):
             with pytest.raises(ValueError, match="outside alphabet"):
                 SQUARE_FREE_MORPHISM.apply(word)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Morphism(()), "a morphism needs at least one image"),
+    (lambda: fixed_point_prefix(THUE_MORSE_MORPHISM, -1), "length must be >= 0"),
+])
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
