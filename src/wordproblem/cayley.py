@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .presentations import GroupPresentation
 from .words import GenLetter, Word, distinct_letters, spell
@@ -41,8 +41,7 @@ def _column(letter: GenLetter) -> int:
     return 2 * letter.index + (0 if letter.sign > 0 else 1)
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(NamedTuple):
     n_gens: int
     rows: Tuple[Tuple[Optional[int], ...], ...]
     status: TableStatus

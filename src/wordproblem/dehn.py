@@ -36,10 +36,9 @@ from __future__ import annotations
 import enum
 import functools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .presentations import GroupPresentation, SymmetrizedRelators, piece_ratio, symmetric_closure
 from .words import GenLetter, Word, check_word, free_reduce, invert
@@ -51,15 +50,13 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class DehnStep:
+class DehnStep(NamedTuple):
     relator: int  # index into the symmetrized set
     pos: int  # position in the word being rewritten
     replaced: int  # length of the replaced prefix a
 
 
-@dataclass(frozen=True)
-class DehnOutcome:
+class DehnOutcome(NamedTuple):
     verdict: Verdict
     trace: Tuple[DehnStep, ...]
     final_word: Word

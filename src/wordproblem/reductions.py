@@ -31,7 +31,7 @@ may come in any order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .rewriting import RewriteSystem, SystemKind, successors
 from .words import (LETTERS, alphabet_size, at_line, check_letters, format_plain, parse_plain,
@@ -67,8 +67,7 @@ class TuringMachine:
                 raise ValueError(f"bad transition ({q},{s}) -> ({q2},{w},{move})")
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Materialized tape window; cells beyond it are blank.  The window
     grows when the head steps past an end and never shrinks, mirroring
     the rewriting encoding exactly."""
@@ -106,8 +105,7 @@ def tm_step(m: TuringMachine, c: Configuration) -> Optional[Configuration]:
     return Configuration((), q2, BLANK, (written,) + c.right)
 
 
-@dataclass(frozen=True)
-class TmResult:
+class TmResult(NamedTuple):
     halted: bool
     steps: int
     config: Configuration
@@ -130,8 +128,7 @@ def tm_run(m: TuringMachine, tape: Tuple[int, ...], max_steps: int) -> TmResult:
         steps += 1
 
 
-@dataclass(frozen=True)
-class TmEncoding:
+class TmEncoding(NamedTuple):
     """Directed rewriting system simulating a machine on configuration
     words, plus the injective configuration-to-word map and the word all
     halting runs drain to."""

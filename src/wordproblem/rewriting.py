@@ -44,8 +44,8 @@ class RewriteSystem:
     kind: SystemKind = SystemKind.SEMI_THUE
 
     def __post_init__(self):
-        if self.alphabet_size < 1 or self.alphabet_size > 26:
-            raise ValueError("alphabet size must be between 1 and 26")
+        if not 1 <= self.alphabet_size <= len(LETTERS):
+            raise ValueError(f"alphabet size must be between 1 and {len(LETTERS)}")
         for lhs, rhs in self.rules:
             if not lhs:
                 raise ValueError("empty rule left side (would match everywhere)")

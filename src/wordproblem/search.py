@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 
@@ -37,15 +36,13 @@ class SearchStatus(enum.Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     expanded: int
     frontier_peak: int
     depth: int
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
+class DerivationTrace(NamedTuple):
     """Replayable witness: steps rewriting start into end.  String steps
     are (rule index, position) pairs, tree steps are TreeSteps."""
 

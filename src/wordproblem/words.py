@@ -25,6 +25,7 @@ All functions here are pure and operate on immutable tuples.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -75,10 +76,7 @@ def make_word(letters: Iterable[Tuple[int, int]]) -> Word:
 
 def concat(*words: Word) -> Word:
     """Plain concatenation; no reduction is performed."""
-    out: Word = ()
-    for w in words:
-        out = out + w
-    return out
+    return tuple(chain.from_iterable(words))
 
 
 def free_reduce(w: Word) -> Word:
@@ -115,14 +113,19 @@ def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
     letter not the inverse of its last.  Conjugating letters are peeled
     from the ends before free reduction, so a word that collapses to the
     empty word reports the first half of its cancellation tower as the
-    conjugator (e.g. a*b*b^-1*a^-1 gives core=1, u=ab).
+    conjugator (e.g. a*b*b^-1*a^-1 gives core=1, u=ab).  A round peels
+    with two indices and slices once; the second round starts freely
+    reduced and is the last, so the cost is linear in |w|.
     """
     core = w
     conjugator: list[GenLetter] = []
     while True:
-        while len(core) >= 2 and core[0] == core[-1].inverse():
-            conjugator.append(core[0])
-            core = core[1:-1]
+        i, j = 0, len(core)
+        while j - i >= 2 and core[i] == core[j - 1].inverse():
+            i += 1
+            j -= 1
+        conjugator += core[:i]
+        core = core[i:j]
         reduced = free_reduce(core)
         if reduced == core:
             return core, tuple(conjugator)

@@ -7,8 +7,12 @@ modules.  ``__init__.py`` is skipped by the import check: its imports
 are the public re-exports.
 
 Two input rules are decided only in ``words.py``: how an error names the
-line of a text file, and what a group letter is.  The last check keeps
-other modules from deciding them again.
+line of a text file, and what a group letter is.  One check keeps other
+modules from deciding them again.
+
+A class is a dataclass only when its constructor checks its input in
+``__post_init__``; a plain record is a ``NamedTuple``.  The last check
+keeps that rule.
 """
 
 import ast
@@ -106,3 +110,35 @@ def test_flags_a_rule_decided_again():
         'line 1: raise ValueError(f"line {lineno}: {exc}")',
         'line 2: raise ValueError(f"letter index {i} out of range")',
     ]
+
+
+def is_dataclass_decorator(node):
+    """@dataclass, @dataclass(...), @dataclasses.dataclass or a call of it."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return ((isinstance(node, ast.Name) and node.id == "dataclass")
+            or (isinstance(node, ast.Attribute) and node.attr == "dataclass"))
+
+
+def unchecked_dataclasses(tree):
+    """Classes decorated as dataclasses that define no __post_init__."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(map(is_dataclass_decorator, node.decorator_list))
+            and not any(isinstance(s, ast.FunctionDef) and s.name == "__post_init__"
+                        for s in node.body)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_dataclass_checks_its_input(path):
+    plain = unchecked_dataclasses(ast.parse(path.read_text(encoding="utf-8")))
+    assert not plain, f"{path.name} writes plain records as dataclasses, not NamedTuples: {plain}"
+
+
+def test_flags_a_dataclass_without_checks():
+    tree = ast.parse("@dataclass(frozen=True)\nclass Checked:\n    x: int\n"
+                     "    def __post_init__(self): pass\n"
+                     "@dataclass\nclass Plain:\n    x: int\n"
+                     "@dataclasses.dataclass(frozen=True)\nclass Dotted:\n    x: int\n"
+                     "class Record(NamedTuple):\n    x: int\n")
+    assert unchecked_dataclasses(tree) == ["Plain", "Dotted"]

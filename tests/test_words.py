@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -133,6 +134,41 @@ class TestCyclicReduce:
             first, last = (core[0], core[-1]) if core else (None, None)
             if len(core) >= 2:
                 assert first != last.inverse()
+
+    def test_matches_the_letter_peeling_oracle(self):
+        rng = random.Random(11)
+        for _ in range(3000):
+            word = random_word(rng, 1 + rng.randrange(3), 30)
+            assert cyclic_reduce(word) == oracle_cyclic_reduce(word), format_word(word)
+
+    def test_long_conjugate_in_linear_time(self):
+        u = w("ab" * 25_000)
+        start = time.perf_counter()
+        core, conjugator = cyclic_reduce(concat(u, w("a"), invert(u)))
+        elapsed = time.perf_counter() - start
+        assert (core, conjugator) == (w("a"), u)
+        assert elapsed < 1.0, f"{elapsed:.2f} s for 100,001 letters"
+
+
+def oracle_cyclic_reduce(word):
+    """The earlier body of cyclic_reduce, which peels one letter pair at a
+    time by slicing; quadratic, kept as the reference."""
+    core = word
+    conjugator = []
+    while True:
+        while len(core) >= 2 and core[0] == core[-1].inverse():
+            conjugator.append(core[0])
+            core = core[1:-1]
+        reduced = free_reduce(core)
+        if reduced == core:
+            return core, tuple(conjugator)
+        core = reduced
+
+
+class TestConcat:
+    def test_joins_in_order(self):
+        assert concat() == EPSILON
+        assert concat(w("ab"), EPSILON, (GenLetter(0, -1),), w("c")) == w("abAc")
 
 
 class TestExponentVector:
