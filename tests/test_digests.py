@@ -105,14 +105,11 @@ def group_words(rng, p):
     yield laden_word(rng, p, 1 + pick(rng, 4))
 
 
-def catalog_groups():
-    return [catalog("surface"), catalog("surface", genus=3), catalog("torus"),
-            catalog("dihedral5"), catalog("free_abelian", rank=3), catalog("trefoil"),
-            catalog("higman_truncated")]
-
-
 def dehn_presentations(rng):
-    return (catalog_groups() + [random_presentation(rng) for _ in range(16)]
+    return ([catalog("surface"), catalog("surface", genus=3), catalog("torus"),
+             catalog("dihedral5"), catalog("free_abelian", rank=3), catalog("trefoil"),
+             catalog("higman_truncated")]
+            + [random_presentation(rng) for _ in range(16)]
             + [long_relator_presentation(rng) for _ in range(4)])
 
 
