@@ -13,11 +13,16 @@ of each side, before pair k + 1 starts.  Per workload and end-to-end
 metric the output holds both sides' median and quartiles and the pairs
 the change won.
 
-The ladder times ``search_tree_equivalence`` from the left comb of n
-leaves to the left comb rotated by one leaf under associativity, which
-ends refuted-exhausted.  Each round takes the best of 3 runs per size in
-a fresh interpreter; rounds run parent, change, change, parent, and each
-size reports its lowest round.  Standard library only.
+Two size ladders follow, each timed in a fresh interpreter per round;
+a round takes the best of 3 runs per size, rounds run parent, change,
+change, parent, parent, change, and each size reports the median of its
+side's three rounds.  The associativity ladder times
+``search_tree_equivalence`` from the left comb of n leaves to the left
+comb rotated by one leaf, which ends refuted-exhausted.  The Dehn ladder
+times ``dehn_solve`` on the genus-16 surface group over ten seeded
+random freely reduced words of 1k, 2k, 4k and 8k letters, all certified
+nontrivial, so the scan is most of the cost.  Both sides must give the
+same answers.  Standard library only.
 """
 
 from __future__ import annotations
@@ -37,8 +42,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 LEAVES = [8, 9, 10, 11]
+LETTERS = [1000, 2000, 4000, 8000]
+ROUNDS = ("parent", "change", "change", "parent", "parent", "change")
 
-LADDER_CHILD = """
+# each child prints [best seconds, answer check] per size
+TREE_CHILD = """
 import json, sys, time
 sys.path.insert(0, {src!r})
 from wordproblem.terms import ASSOCIATIVITY, Leaf, Node, search_tree_equivalence
@@ -50,7 +58,7 @@ def left_comb(names):
     return t
 
 out = []
-for n in {leaves!r}:
+for n in {sizes!r}:
     names = "ABCDEFGHIJKLMNOP"[:n]
     a, b = left_comb(names), left_comb(names[1:] + names[0])
     best = None
@@ -61,6 +69,38 @@ for n in {leaves!r}:
         best = dt if best is None else min(best, dt)
     assert o.status.value == "refuted-exhausted", o
     out.append((best, o.stats.expanded))
+print(json.dumps(out))
+"""
+
+DEHN_CHILD = """
+import hashlib, json, random, sys, time
+sys.path.insert(0, {src!r})
+from wordproblem.dehn import dehn_solve
+from wordproblem.presentations import catalog
+from wordproblem.words import GenLetter
+
+p = catalog("surface", genus=16)
+out = []
+for n in {sizes!r}:
+    rng = random.Random(n)
+    words = []
+    for _ in range(10):
+        w = []
+        while len(w) < n:
+            x = GenLetter(rng.randrange(p.n_gens), rng.choice((1, -1)))
+            if not w or w[-1] != x.inverse():
+                w.append(x)
+        words.append(tuple(w))
+    best = None
+    for _ in range(3):
+        t0 = time.perf_counter()
+        outcomes = [dehn_solve(w, p) for w in words]
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    assert all(o.verdict.value == "nontrivial-certified" for o in outcomes)
+    answers = repr([([tuple(s) for s in o.trace], [tuple(x) for x in o.final_word])
+                    for o in outcomes])
+    out.append((best, hashlib.sha256(answers.encode()).hexdigest()[:16]))
 print(json.dumps(out))
 """
 
@@ -110,28 +150,25 @@ def workload_table(runs, seeds, metrics):
     return table
 
 
-def ladder(parent: Path, change: Path):
-    def round_(checkout):
-        code = LADDER_CHILD.format(src=str(checkout / "src"), leaves=LEAVES)
+def ladder(parent: Path, change: Path, child: str, sizes: list) -> dict:
+    """Each side's median round per size, its ratio from one size to the
+    next, and the answer checks, which both sides must share."""
+    rounds = {"parent": [], "change": []}
+    for side in ROUNDS:
+        checkout = parent if side == "parent" else change
+        code = child.format(src=str(checkout / "src"), sizes=sizes)
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
-        return json.loads(done.stdout)  # [seconds, expanded] per size
-
-    rounds = {"parent": [], "change": []}
-    for side in ("parent", "change", "change", "parent"):
-        rounds[side].append(round_(parent if side == "parent" else change))
-    states = [e for _, e in rounds["parent"][0]]
-    if any([e for _, e in r] != states for side in rounds.values() for r in side):
-        raise SystemExit("the two sides expanded different numbers of states")
-    out = {"what": ("search_tree_equivalence(left_comb of n leaves, left_comb rotated by "
-                    "one leaf, [ASSOCIATIVITY]), refuted-exhausted; each round takes the "
-                    "best of 3 runs, rounds ran in the order parent, change, change, "
-                    "parent, and each size reports its lowest round"),
-           "leaves": LEAVES, "states": states}
+        rounds[side].append(json.loads(done.stdout))
+    checks = [c for _, c in rounds["parent"][0]]
+    if any([c for _, c in r] != checks for side in rounds.values() for r in side):
+        raise SystemExit("the two sides answered a ladder differently")
+    out = {"sizes": sizes, "checks": checks}
     for side, side_rounds in rounds.items():
-        best = [round(min(r[i][0] for r in side_rounds), 4) for i in range(len(LEAVES))]
-        out[f"{side}_s"] = best
-        out[f"{side}_ratio_per_leaf"] = [round(b / a, 2) for a, b in zip(best, best[1:])]
+        median = [round(statistics.median(r[i][0] for r in side_rounds), 4)
+                  for i in range(len(sizes))]
+        out[f"{side}_s"] = median
+        out[f"{side}_ratio"] = [round(b / a, 2) for a, b in zip(median, median[1:])]
     return out
 
 
@@ -186,7 +223,19 @@ def main(argv=None):
             "claim": args.claim,
             "workloads": {w: workload_table(runs[w], seeds, spec["end_to_end"])
                           for w in workloads},
-            "ladder": ladder(parent, change),
+            "ladder": {
+                "what": ("search_tree_equivalence(left_comb of n leaves, left_comb rotated "
+                         "by one leaf, [ASSOCIATIVITY]), refuted-exhausted; sizes are "
+                         "leaves, checks the states expanded; each round takes the best "
+                         "of 3 runs, rounds ran parent, change, change, parent, parent, "
+                         "change, and each size reports its side's median round"),
+                **ladder(parent, change, TREE_CHILD, LEAVES)},
+            "dehn_ladder": {
+                "what": ("dehn_solve on the genus-16 surface group over 10 random freely "
+                         "reduced words per size, seeded by the size, all certified "
+                         "nontrivial; sizes are letters, checks a hash of the traces and "
+                         "final words; rounds as in ladder, ratios per doubling"),
+                **ladder(parent, change, DEHN_CHILD, LETTERS)},
         }
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0

@@ -20,22 +20,30 @@ their shortest majority prefix r[:|r|//2 + 1]; the C'(1/6) certificate
 is computed when first needed and kept with them.  A call codes the
 word once, so the input's free reduction, the scan and the meet of a
 deleted relator's sides compare characters, slicing and concatenation
-are copies done in C, and the final word is decoded once at the end.  A
-majority match at a position exists exactly when one of the prefixes
-starts there, so a position costs one dict lookup per distinct prefix
-length.  The inserted b^-1 never cancels against its neighbours (see
-_replace); only a whole relator's deletion lets the sides meet.  The
-scan resumes just left of the first changed letter: windows further
-left are unchanged and were already rejected (Domanski and Anshel, J.
-Algorithms 1985).  So for a fixed presentation the positions scanned
-are linear in |w|; each replacement also copies the word string once.
+are copies done in C, and the final word is decoded once at the end.
+Whether the input is already freely reduced is one big-integer XOR of
+the word with itself one letter on.  The scan samples the word (Wu and
+Manber, "A fast algorithm for multi-pattern searching", 1994): with m
+the shortest majority prefix length, q = max(1, m // 2) and k = m - q +
+1, it looks up one q-letter slice per k positions in the set of the
+q-letter slices that start in the first k letters of some majority
+prefix.  No match is skipped: a match covers m letters from its
+position, and exactly one sampled slice starts in its first k letters
+and so lies inside them.  Only a window of k positions whose slice is
+in the set is resolved position by position, at one dict lookup per
+distinct prefix length.  The inserted b^-1 never cancels against its
+neighbours (see _replace); only a whole relator's deletion lets the
+sides meet.  The scan resumes just left of the first changed letter:
+windows further left are unchanged and were already rejected (Domanski
+and Anshel, J. Algorithms 1985).  So for a fixed presentation the
+slices looked up are about |w| / k plus those of the resolved windows;
+each replacement also copies the word string once.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import operator
 from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple, Optional, Tuple
@@ -64,7 +72,8 @@ class DehnOutcome(NamedTuple):
 
 class _Prepared:
     """Relators made ready for the solver: the coded words, their coded
-    inverses and the majority index over the codes.
+    inverses, the majority index over the codes and the scan's sampling
+    filter.
 
     A generator gets two codes, chr(2k) for itself and chr(2k + 1) for
     its inverse, with k counting generators in the order they first
@@ -94,6 +103,15 @@ class _Prepared:
             h = len(r) // 2 + 1
             groups.setdefault(h, {}).setdefault(r[:h], []).append((idx, r))
         self.index = sorted(groups.items())
+        # the scan's sampling filter (Wu and Manber, TR 94-17, 1994): with m
+        # the shortest majority prefix length, the q-letter slices of each
+        # majority prefix that start in its first k letters; see _scan
+        m = self.index[0][0] if self.index else 1
+        self.q = max(1, m // 2)
+        self.k = m - self.q + 1
+        self.grams = frozenset(
+            a[j : j + self.q] for _, table in self.index for a in table for j in range(self.k)
+        )
 
     @functools.cached_property
     def certified(self) -> bool:
@@ -140,9 +158,16 @@ def _coded(w: Word, prep: _Prepared, n_gens: Optional[int] = None) -> Tuple[str,
 
 
 def _free_reduce(w: str) -> str:
-    # most words arrive reduced, and a pass in C finds that they are
-    flip = {i: i ^ 1 for i in range(ord(max(w, default="\0")) + 2)}
-    if not any(map(operator.eq, w[1:], w.translate(flip))):
+    # most words arrive reduced, and a pass in C finds that they are: XORed
+    # with itself one letter on as one big integer, as in
+    # sequences.is_power_free, each 4-byte unit after the first holds two
+    # neighbours' codes XORed, which is 1 exactly where they cancel.
+    # Decoding the units back keeps them aligned; "replace" turns those
+    # that are no character into U+FFFD.
+    data = w.encode("utf-32-be", "surrogatepass")
+    word = int.from_bytes(data, "big")
+    diff = (word ^ (word >> 32)).to_bytes(len(data), "big")
+    if "\1" not in diff[4:].decode("utf-32-be", "replace"):
         return w
     out = []
     for c in w:
@@ -153,27 +178,41 @@ def _free_reduce(w: str) -> str:
     return "".join(out)
 
 
-def _scan(w: str, start: int, index: list) -> Optional[DehnStep]:
-    """The leftmost majority match at or after start, longest then lowest index."""
+def _scan(w: str, start: int, prep: _Prepared) -> Optional[DehnStep]:
+    """The leftmost majority match at or after start, longest then lowest index.
+
+    Only the positions s = start + k - 1, start + 2k - 1, ... with s + q
+    <= |w| are sampled.  A match at pos >= start covers at least
+    w[pos:pos + m], and exactly one sampled s lies in [pos, pos + k - 1];
+    w[s:s + q] starts s - pos < k letters into the matched majority
+    prefix and ends within its first m letters, so it is one of the
+    grams.  So when w[s:s + q] is not a gram, no match starts in
+    (s - k, s]; when it is, each position of that window is resolved in
+    turn, and the first window with a match holds the leftmost one.
+    """
     n = len(w)
-    for pos in range(start, n):
-        best = 0
-        best_idx = -1
-        for h, table in index:
-            if pos + h > n:
-                break
-            hits = table.get(w[pos : pos + h])
-            if hits is None:
-                continue
-            for idx, r in hits:
-                m = h
-                end = min(n - pos, len(r))
-                while m < end and w[pos + m] == r[m]:
-                    m += 1
-                if m > best or (m == best and idx < best_idx):
-                    best, best_idx = m, idx
-        if best_idx >= 0:
-            return DehnStep(best_idx, pos, best)
+    q, k, grams, index = prep.q, prep.k, prep.grams, prep.index
+    for s in range(start + k - 1, n - q + 1, k):
+        if w[s : s + q] not in grams:
+            continue
+        for pos in range(s - k + 1, s + 1):
+            best = 0
+            best_idx = -1
+            for h, table in index:
+                if pos + h > n:
+                    break
+                hits = table.get(w[pos : pos + h])
+                if hits is None:
+                    continue
+                for idx, r in hits:
+                    m = h
+                    end = min(n - pos, len(r))
+                    while m < end and w[pos + m] == r[m]:
+                        m += 1
+                    if m > best or (m == best and idx < best_idx):
+                        best, best_idx = m, idx
+            if best_idx >= 0:
+                return DehnStep(best_idx, pos, best)
     return None
 
 
@@ -206,7 +245,7 @@ def dehn_step(w: Word, s: SymmetrizedRelators) -> Optional[Tuple[Word, DehnStep]
     """
     prep = _Prepared(s.words, symmetric=False)
     code, decode = _coded(w, prep)
-    step = _scan(code, 0, prep.index)
+    step = _scan(code, 0, prep)
     if step is None:
         return None
     # a set not closed under cyclic shifts may cancel b^-1 on its left
@@ -231,7 +270,7 @@ def dehn_solve(w: Word, p: GroupPresentation) -> DehnOutcome:
         reach = prep.index[-1][0] - 1
         start = 0
         while current:
-            step = _scan(current, start, prep.index)
+            step = _scan(current, start, prep)
             if step is None:
                 break
             current, cut = _replace(current, prep.inverses, step)

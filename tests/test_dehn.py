@@ -31,6 +31,7 @@ from wordproblem.words import (
     EPSILON,
     GenLetter,
     concat,
+    cyclic_reduce,
     exponent_vector,
     format_word,
     free_reduce,
@@ -583,6 +584,148 @@ class TestAgainstTupleSolver:
                 word = make_word([(rng.randrange(p.n_gens), rng.choice((1, -1)))
                                   for _ in range(rng.randint(0, 40))])
                 self.check(word, p, sym)
+
+
+def cyclically_reduced(letters):
+    return cyclic_reduce(free_reduce(tuple(letters)))[0]
+
+
+@st.composite
+def sampled_scan_case(draw):
+    """Relators where the scan's sampling can go wrong, and a word over
+    them: relators of 1-3 letters (q = 1) next to longer ones (m below
+    the largest majority prefix), words shorter than m, and relator
+    prefixes placed anywhere, the last letter included."""
+    n_gens = draw(st.integers(1, 3))
+    letter = st.builds(GenLetter, st.integers(0, n_gens - 1), st.sampled_from((1, -1)))
+    relators = []
+    for size in draw(st.lists(st.sampled_from((3, 3, 8, 14)), min_size=1, max_size=3)):
+        relators.append(cyclically_reduced(draw(st.lists(letter, min_size=1, max_size=size))))
+    relators = [r for r in relators if r] or [(GenLetter(0, 1),)]
+    word = ()
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            r = draw(st.sampled_from(relators))
+            k = draw(st.integers(0, len(r) - 1))
+            r = r[k:] + r[:k]
+            r = invert(r) if draw(st.booleans()) else r
+            word += r[: draw(st.integers(len(r) // 2, len(r)))]
+        else:
+            word += tuple(draw(st.lists(letter, max_size=3)))
+    return n_gens, tuple(relators), word
+
+
+class TestSampledScan:
+    """The sampled scan of code strings against tuple_scan, which tries
+    every position."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(sampled_scan_case())
+    def test_every_start_on_open_and_closed_sets(self, case):
+        n_gens, relators, word = case
+        closed = symmetrize(GroupPresentation(n_gens, relators))
+        for sym in (SymmetrizedRelators(relators), closed):
+            prep = dehn._Prepared(sym.words, symmetric=False)
+            code, _ = dehn._coded(word, prep)
+            index = tuple_majority_index(sym)
+            # every resume start, aligned to k or not
+            for start in range(len(word) + 1):
+                assert dehn._scan(code, start, prep) == tuple_scan(word, start, index), start
+            reduced = free_reduce(word)
+            assert dehn_step(reduced, sym) == tuple_dehn_step(reduced, sym)
+        p = GroupPresentation(n_gens, relators)
+        assert dehn_solve(word, p) == tuple_dehn_solve(word, p)
+
+    def test_stride_and_gram_length(self):
+        # q = max(1, m // 2) and k = m - q + 1, m the shortest majority prefix
+        for relators, q, k in (("a", 1, 1), ("ab", 1, 2), ("abc", 1, 2),
+                               ("abcd", 1, 3), ("abcde abcdefghijkl", 1, 3),
+                               ("abcdefghijkl", 3, 5)):
+            prep = dehn._Prepared(tuple(map(w, relators.split())), symmetric=False)
+            assert (prep.q, prep.k) == (q, k), relators
+        prep = dehn._prepare(catalog("surface", genus=16))
+        assert (prep.index[0][0], prep.q, prep.k) == (33, 16, 18)
+
+    def test_words_shorter_than_the_shortest_prefix(self):
+        sym = SymmetrizedRelators((w("abcdefghij"),))  # m = 6
+        prep = dehn._Prepared(sym.words, symmetric=False)
+        for n in range(6):
+            code, _ = dehn._coded(w("abcdefghij")[:n], prep)
+            assert dehn._scan(code, 0, prep) is None
+        code, _ = dehn._coded(w("abcdef"), prep)
+        assert dehn._scan(code, 0, prep) == DehnStep(0, 0, 6)
+
+    def test_matches_at_the_start_and_at_the_last_letter(self):
+        p = catalog("surface", genus=16)
+        prep = dehn._prepare(p)
+        sym = symmetrize(p)
+        index = tuple_majority_index(sym)
+        rng = random.Random(46)
+        r = sym.words[5]
+        for _ in range(20):
+            left = random_reduced_word(rng, p.n_gens, 60)
+            right = random_reduced_word(rng, p.n_gens, 60)
+            for word in (left + r[:33] + right, left + r[:40]):
+                code, _ = dehn._coded(word, prep)
+                for start in range(len(word) + 1):
+                    assert dehn._scan(code, start, prep) == tuple_scan(word, start, index)
+
+
+def stack_reduce(codes):
+    out = []
+    for c in codes:
+        if out and ord(out[-1]) ^ 1 == ord(c):
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+# code ranges: past 128 generators, the surrogates (past 27,648 generators)
+# and the last characters, whose XORs are no character at all
+WIDE_CODES = [(0x100, 0x400), (0xD7F0, 0xE010), (0xFFF00, 0x110000)]
+
+
+class TestFreeReduceOnWideCodes:
+    """dehn._free_reduce's check, one XOR over the utf-32 bytes, against
+    the per-letter stack."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(WIDE_CODES), st.integers(0, 0x3FF)), max_size=40),
+           st.lists(st.integers(0, 40), max_size=3))
+    def test_against_the_stack(self, picks, cancels):
+        codes = [chr(lo + i % (hi - lo)) for (lo, hi), i in picks]
+        for at in sorted(cancels, reverse=True):
+            if at <= len(codes):
+                c = codes[at] if at < len(codes) else "Ā"
+                codes[at:at] = [c, chr(ord(c) ^ 1)]
+        word = "".join(codes)
+        assert dehn._free_reduce(word) == stack_reduce(word)
+
+    def test_pairs_at_the_ends_and_misaligned_look_alikes(self):
+        # 0x400 0x300 0x200 XOR to the units 00000700 00000100, which
+        # hold the bytes 00 00 00 01 three bytes off; 0x10000 0x30000
+        # 0x20005 give 00020000 00010005, which hold them two bytes off
+        for look_alike in ("Ѐ̀Ȁ", "\U00010000\U00030000\U00020005"):
+            data = look_alike.encode("utf-32-be")
+            x = int.from_bytes(data, "big")
+            assert b"\0\0\0\1" in (x ^ (x >> 32)).to_bytes(len(data), "big")[4:]
+            assert dehn._free_reduce(look_alike) == look_alike
+        pair = "\ud800\ud801"
+        for word in (pair + "Ѐ̀Ȁ", "Ѐ̀Ȁ" + pair,
+                     "\U00010000\U00030000" + pair + "\U00020005",
+                     "\U0010ffff\U000f0000\U0010fffe\U0010ffff"):
+            assert dehn._free_reduce(word) == stack_reduce(word), ascii(word)
+            assert len(dehn._free_reduce(word)) == len(word) - 2
+
+    def test_many_generators_through_the_solver(self):
+        # 30,000 generators, each first met in this word, code past 0xD800
+        n = 30_000
+        word = tuple(GenLetter(i, 1) for i in range(n))
+        word += (GenLetter(n - 1, -1), GenLetter(n - 2, -1), GenLetter(7, 1))
+        outcome = dehn_solve(word, GroupPresentation(n, ()))
+        assert outcome.final_word == free_reduce(word)
+        assert len(outcome.final_word) == n - 1
 
 
 class TestPreparation:
