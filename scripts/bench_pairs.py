@@ -11,7 +11,9 @@ every workload of ``BENCHMARK.json`` for its ``run_seconds`` with seed
 base + k, parent first when k is even, through ``bench/run.py --trace 0``
 of each side, before pair k + 1 starts.  Per workload and end-to-end
 metric the output holds both sides' median and quartiles and the pairs
-the change won.
+the change won; per query class, each side's median over the pairs of
+the class median that the run record (``bench/runs/<workload>-seed<N>-
+trace0.json`` in that side's tree) holds.
 
 Two size ladders follow, each timed in a fresh interpreter per round;
 a round takes the best of 3 runs per size, rounds run parent, change,
@@ -114,6 +116,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                          f"{workload}-seed{seed}-trace0.json").read_text())
     result["tail_class"] = record.get("tail_class")
     result["median_classes"] = record.get("median_classes")
+    result["class_median_ms"] = record.get("class_median_ms", {})
     return result
 
 
@@ -121,6 +124,14 @@ def summary(values):
     q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": round(statistics.median(values), 4),
             "quartiles": [round(q1, 4), round(q3, 4)]}
+
+
+def class_medians(results) -> dict:
+    """Per query class, the median over the runs of its median time (ms)."""
+    classes = sorted({c for r in results for c in r["class_median_ms"]})
+    return {c: round(statistics.median(r["class_median_ms"][c] for r in results
+                                       if c in r["class_median_ms"]), 4)
+            for c in classes}
 
 
 def workload_table(runs, seeds, metrics):
@@ -137,6 +148,8 @@ def workload_table(runs, seeds, metrics):
         "median_classes": {side: dict(Counter("+".join(pair[i]["median_classes"])
                                               for pair in runs))
                            for i, side in enumerate(("parent", "change"))},
+        "class_median_ms": {side: class_medians([pair[i] for pair in runs])
+                            for i, side in enumerate(("parent", "change"))},
         "metrics": {},
     }
     for m in metrics:

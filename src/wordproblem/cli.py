@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import cayley, dehn, presentations, reductions, rewriting, sequences, terms
 from .search import DerivationTrace, SearchStatus, replay
-from .words import (LETTERS, cyclic_reduce, format_plain, format_word, free_reduce,
-                    parse_plain, parse_word)
+from .words import (LETTERS, code_text, cyclic_reduce, format_plain, format_word,
+                    free_reduce_code, parse_plain, parse_word, text_code)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -115,10 +115,10 @@ def _add_presentation_args(sub):
 
 
 def cmd_reduce(args) -> int:
-    w = parse_word(args.word)
-    _show(args, "reduced", format_word(free_reduce(w)))
+    # the reduced row goes text -> codes -> text and builds no letters
+    _show(args, "reduced", code_text(free_reduce_code(text_code(args.word))))
     if args.cyclic:
-        core, conj = cyclic_reduce(w)
+        core, conj = cyclic_reduce(parse_word(args.word))
         _show(args, "core", format_word(core))
         _show(args, "conjugator", format_word(conj))
     return EXIT_OK

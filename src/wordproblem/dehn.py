@@ -21,8 +21,11 @@ is computed when first needed and kept with them.  A call codes the
 word once, so the input's free reduction, the scan and the meet of a
 deleted relator's sides compare characters, slicing and concatenation
 are copies done in C, and the final word is decoded once at the end.
-Whether the input is already freely reduced is one big-integer XOR of
-the word with itself one letter on.  The scan samples the word (Wu and
+Free reduction is words.free_reduce_code, the package's one kernel on
+code strings (the CLI's reduce runs on it too); whether the input is
+already freely reduced is one big-integer XOR of the word with itself
+one letter on.  A set given to dehn_step is prepared once as well, in a
+second small cache keyed on the set.  The scan samples the word (Wu and
 Manber, "A fast algorithm for multi-pattern searching", 1994): with m
 the shortest majority prefix length, q = max(1, m // 2) and k = m - q +
 1, it looks up one q-letter slice per k positions in the set of the
@@ -49,7 +52,7 @@ from itertools import chain
 from typing import NamedTuple, Optional, Tuple
 
 from .presentations import GroupPresentation, SymmetrizedRelators, piece_ratio, symmetric_closure
-from .words import GenLetter, Word, check_word, free_reduce, invert
+from .words import GenLetter, Word, check_word, free_reduce, free_reduce_code, invert
 
 
 class Verdict(enum.Enum):
@@ -126,6 +129,11 @@ def _prepare(p: GroupPresentation) -> _Prepared:
     return _Prepared(p.relators, symmetric=True)
 
 
+@functools.lru_cache(maxsize=16)
+def _prepare_set(s: SymmetrizedRelators) -> _Prepared:
+    return _Prepared(s.words, symmetric=False)
+
+
 def _code(w: Word, encode: dict) -> str:
     return "".join(map(encode.__getitem__, w))
 
@@ -155,27 +163,6 @@ def _coded(w: Word, prep: _Prepared, n_gens: Optional[int] = None) -> Tuple[str,
         pass
     encode, decode = _extend(prep.encode, prep.decode, check_word(w, n_gens))
     return _code(w, encode), decode
-
-
-def _free_reduce(w: str) -> str:
-    # most words arrive reduced, and a pass in C finds that they are: XORed
-    # with itself one letter on as one big integer, as in
-    # sequences.is_power_free, each 4-byte unit after the first holds two
-    # neighbours' codes XORed, which is 1 exactly where they cancel.
-    # Decoding the units back keeps them aligned; "replace" turns those
-    # that are no character into U+FFFD.
-    data = w.encode("utf-32-be", "surrogatepass")
-    word = int.from_bytes(data, "big")
-    diff = (word ^ (word >> 32)).to_bytes(len(data), "big")
-    if "\1" not in diff[4:].decode("utf-32-be", "replace"):
-        return w
-    out = []
-    for c in w:
-        if out and ord(out[-1]) ^ 1 == ord(c):
-            out.pop()
-        else:
-            out.append(c)
-    return "".join(out)
 
 
 def _scan(w: str, start: int, prep: _Prepared) -> Optional[DehnStep]:
@@ -243,13 +230,13 @@ def dehn_step(w: Word, s: SymmetrizedRelators) -> Optional[Tuple[Word, DehnStep]
     w must be freely reduced; the result is freely reduced and strictly
     shorter.
     """
-    prep = _Prepared(s.words, symmetric=False)
+    prep = _prepare_set(s)
     code, decode = _coded(w, prep)
     step = _scan(code, 0, prep)
     if step is None:
         return None
     # a set not closed under cyclic shifts may cancel b^-1 on its left
-    reduced = _free_reduce(_replace(code, prep.inverses, step)[0])
+    reduced = free_reduce_code(_replace(code, prep.inverses, step)[0])
     return tuple(map(decode.__getitem__, reduced)), step
 
 
@@ -263,7 +250,7 @@ def dehn_solve(w: Word, p: GroupPresentation) -> DehnOutcome:
     """
     prep = _prepare(p)
     code, decode = _coded(w, prep, p.n_gens)
-    current = _free_reduce(code)
+    current = free_reduce_code(code)
     trace = []
     if prep.index:
         # positions left of cut - h_max + 1 see only unchanged letters

@@ -9,6 +9,15 @@ textual form writes generator i as the lowercase letter LETTERS[i] and
 its inverse as the uppercase letter, so "abA" is a*b*a^-1.  The empty
 word prints as "1".
 
+Text letters also have one code alphabet: generator i is chr(2i) and its
+inverse chr(2i + 1), so two neighbours cancel exactly when their codes
+differ only in the lowest bit, as in the Dehn solver's codes.
+:func:`text_code` checks a text word and turns it into its code string,
+one ``str.translate`` each, :func:`code_text` turns codes back, and
+:func:`free_reduce_code` is the free-reduction kernel on code strings.
+:func:`parse_word` decodes the checked codes into letters, and
+:func:`format_word` maps letters to text in one pass.
+
 The four text formats of the package (presentations, rewriting systems,
 machines, tree rules) are read in three steps: :func:`read_declarations`
 collects the 'key: value' lines of the known keys, each parser checks
@@ -20,7 +29,7 @@ Plain-letter words (rewriting, tapes, equations) are strings, and
 word too.  Formatters name letters through :func:`spell`, which refuses
 an index that has no letter.
 
-All functions here are pure and operate on immutable tuples.
+All functions here are pure and operate on immutable tuples and strings.
 """
 
 from __future__ import annotations
@@ -152,18 +161,65 @@ def exponent_vector(w: Word, n_gens: int) -> Tuple[int, ...]:
 
 
 def format_word(w: Word) -> str:
-    """Textual form; the empty word renders as "1"."""
+    """Textual form; the empty word renders as "1".
+
+    A letter that check_word refuses is refused with its message, and an
+    index without a text letter with spell's.
+    """
     if not w:
         return "1"
-    names = spell([letter.index for letter in w])
-    return "".join([c if letter.sign > 0 else c.upper() for c, letter in zip(names, w)])
+    # a plain tuple equals the GenLetter with the same fields, so the types
+    # are checked before the table is used
+    try:
+        if {GenLetter}.issuperset(map(type, w)):
+            return "".join(map(_TEXT_OF.__getitem__, w))
+    except KeyError:
+        pass
+    # every letter check_word accepts whose index has a text letter is in
+    # the table, so spell refuses some index here
+    spell([letter.index for letter in check_word(w)])
+    raise AssertionError(f"no text for {w!r}")
 
 
-_PARSED = {
-    c: GenLetter(i, sign)
-    for sign, names in ((1, LETTERS), (-1, LETTERS.upper()))
-    for i, c in enumerate(names)
-}
+# The code alphabet: text letter i is chr(2i), its inverse chr(2i + 1).
+_TEXT = "".join(c + c.upper() for c in LETTERS)
+_CODES = "".join(map(chr, range(len(_TEXT))))
+_TO_CODE = str.maketrans(_TEXT, _CODES)
+_TO_TEXT = str.maketrans(_CODES, _TEXT)
+_NOT_TEXT = str.maketrans("", "", _TEXT)  # deletes the text letters
+_DECODED = {code: GenLetter(k >> 1, -1 if k & 1 else 1) for k, code in enumerate(_CODES)}
+_TEXT_OF = dict(zip(_DECODED.values(), _TEXT))
+
+
+def text_code(text: str, n_gens: Optional[int] = None) -> str:
+    """The code string of a text word; "1" (or "") is the empty word.
+
+    Surrounding whitespace is ignored.  If n_gens is given, letters
+    beyond it are rejected.
+    """
+    text = text.strip()
+    if text in ("", "1"):
+        return ""
+    # translate keeps what is no text letter, and some of that would pass
+    # for codes ('0' is chr(48), the code of 'y'), so anything left once
+    # the letters are deleted is an error
+    bad = text.translate(_NOT_TEXT)
+    if bad:
+        raise ValueError(f"invalid character {bad[0]!r} in word {text!r}")
+    code = text.translate(_TO_CODE)
+    if n_gens is not None:
+        # the codes of generators 0..n_gens-1 are the bytes below 2 * n_gens
+        kept = bytes(range(min(2 * n_gens, len(_TEXT))))
+        outside = code.encode("ascii").translate(None, kept)
+        if outside:
+            c = _TEXT[outside[0]]
+            raise ValueError(f"letter {c!r} out of range for {n_gens} generators")
+    return code
+
+
+def code_text(code: str) -> str:
+    """Textual form of a code string; the empty word renders as "1"."""
+    return code.translate(_TO_TEXT) or "1"
 
 
 def parse_word(text: str, n_gens: Optional[int] = None) -> Word:
@@ -171,20 +227,35 @@ def parse_word(text: str, n_gens: Optional[int] = None) -> Word:
 
     If n_gens is given, letters beyond it are rejected.
     """
-    text = text.strip()
-    if text in ("", "1"):
-        return EPSILON
-    try:
-        letters = tuple(map(_PARSED.__getitem__, text))
-    except KeyError:
-        c = next(c for c in text if c not in _PARSED)
-        raise ValueError(f"invalid character {c!r} in word {text!r}") from None
-    if n_gens is not None and max(letters).index >= n_gens:
-        letter = next(x for x in letters if x.index >= n_gens)
-        raise ValueError(
-            f"letter {format_word((letter,))!r} out of range for {n_gens} generators"
-        )
-    return letters
+    return tuple(map(_DECODED.__getitem__, text_code(text, n_gens)))
+
+
+def free_reduce_code(w: str) -> str:
+    """free_reduce on a code string, in which a letter cancels the next
+    one exactly when their codes differ only in the lowest bit."""
+    # most words arrive reduced, and a pass in C finds that they are: XORed
+    # with itself one letter on as one big integer, as in
+    # sequences.is_power_free, each 4-byte unit after the first holds two
+    # neighbours' codes XORed, which is 1 exactly where they cancel.
+    # Decoding the units back keeps them aligned; "replace" turns those
+    # that are no character into U+FFFD.  The stack compares ords: a
+    # translated inverse string would need a per-code flip table.
+    data = w.encode("utf-32-be", "surrogatepass")
+    word = int.from_bytes(data, "big")
+    diff = (word ^ (word >> 32)).to_bytes(len(data), "big")
+    if "\1" not in diff[4:].decode("utf-32-be", "replace"):
+        return w
+    out = []
+    top = -2  # the code on top of the stack; -2 cancels no code
+    for c in w:
+        code = ord(c)
+        if code ^ 1 == top:
+            out.pop()
+            top = ord(out[-1]) if out else -2
+        else:
+            out.append(c)
+            top = code
+    return "".join(out)
 
 
 def commutator(a: Word, b: Word) -> Word:

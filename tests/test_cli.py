@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import random
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from wordproblem import cli, sequences
 from wordproblem.cli import main
 from wordproblem.presentations import CATALOG
 from wordproblem.reductions import TM_CATALOG
+from wordproblem.words import LETTERS, cyclic_reduce, format_word, free_reduce, parse_word
 
 CLI = [sys.executable, "-m", "wordproblem.cli"]
 
@@ -338,6 +340,45 @@ class TestParser:
             cli._parser.cache_clear()
         assert len(builds) == 1
         assert capsys.readouterr().out == "reduced: abA\nreduced: aB\n"
+
+
+class TestReduceOnCodes:
+    """reduce runs on code strings; its output must be byte for byte that
+    of the route through letter tuples, error lines included."""
+
+    @staticmethod
+    def tuple_route(text, fmt, cyclic):
+        try:
+            w = parse_word(text)
+        except ValueError as exc:
+            return 1, "", f"wordproblem: error: {exc}\n"
+        rows = [("reduced", format_word(free_reduce(w)))]
+        if cyclic:
+            core, conj = cyclic_reduce(w)
+            rows += [("core", format_word(core)), ("conjugator", format_word(conj))]
+        sep = ": " if fmt == "human" else " "
+        return 0, "".join(f"{key}{sep}{value}\n" for key, value in rows), ""
+
+    def test_byte_identical_to_the_tuple_route(self):
+        rng = random.Random(20)
+        letters = "".join(c + c.upper() for c in LETTERS)
+        for i in range(600):
+            n = rng.choice((0, 1, 2, 7, 40, 300))
+            # one or three generators, so that much of the word cancels
+            alphabet = letters[: rng.choice((2, 6, 52))]
+            text = "".join(rng.choice(alphabet) for _ in range(n))
+            if i % 5 == 0:
+                at = rng.randint(0, len(text))
+                text = text[:at] + rng.choice(("0", "3", "_", "\x00", "\x33", "\u00e9", " ")) + text[at:]
+            if i % 7 == 0:
+                text = rng.choice(("1", "", " 1 ", " ")) if i % 2 else f" {text}\t"
+            fmt = rng.choice(("human", "lines"))
+            cyclic = ["--cyclic"] if i % 3 == 0 else []
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["reduce", text, "--format", fmt] + cyclic)
+            expected = self.tuple_route(text, fmt, bool(cyclic))
+            assert (code, out.getvalue(), err.getvalue()) == expected, repr(text)
 
 
 class TestGoldenDeterminism:

@@ -35,6 +35,7 @@ from wordproblem.words import (
     exponent_vector,
     format_word,
     free_reduce,
+    free_reduce_code,
     invert,
     make_word,
     parse_word,
@@ -687,7 +688,7 @@ WIDE_CODES = [(0x100, 0x400), (0xD7F0, 0xE010), (0xFFF00, 0x110000)]
 
 
 class TestFreeReduceOnWideCodes:
-    """dehn._free_reduce's check, one XOR over the utf-32 bytes, against
+    """free_reduce_code's check, one XOR over the utf-32 bytes, against
     the per-letter stack."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -700,7 +701,7 @@ class TestFreeReduceOnWideCodes:
                 c = codes[at] if at < len(codes) else "Ā"
                 codes[at:at] = [c, chr(ord(c) ^ 1)]
         word = "".join(codes)
-        assert dehn._free_reduce(word) == stack_reduce(word)
+        assert free_reduce_code(word) == stack_reduce(word)
 
     def test_pairs_at_the_ends_and_misaligned_look_alikes(self):
         # 0x400 0x300 0x200 XOR to the units 00000700 00000100, which
@@ -710,13 +711,13 @@ class TestFreeReduceOnWideCodes:
             data = look_alike.encode("utf-32-be")
             x = int.from_bytes(data, "big")
             assert b"\0\0\0\1" in (x ^ (x >> 32)).to_bytes(len(data), "big")[4:]
-            assert dehn._free_reduce(look_alike) == look_alike
+            assert free_reduce_code(look_alike) == look_alike
         pair = "\ud800\ud801"
         for word in (pair + "Ѐ̀Ȁ", "Ѐ̀Ȁ" + pair,
                      "\U00010000\U00030000" + pair + "\U00020005",
                      "\U0010ffff\U000f0000\U0010fffe\U0010ffff"):
-            assert dehn._free_reduce(word) == stack_reduce(word), ascii(word)
-            assert len(dehn._free_reduce(word)) == len(word) - 2
+            assert free_reduce_code(word) == stack_reduce(word), ascii(word)
+            assert len(free_reduce_code(word)) == len(word) - 2
 
     def test_many_generators_through_the_solver(self):
         # 30,000 generators, each first met in this word, code past 0xD800
@@ -747,6 +748,32 @@ class TestPreparation:
         for n in range(1, bound + 11):
             dehn_solve(w("a"), GroupPresentation(n, (w("aa"),)))
         assert dehn._prepare.cache_info().currsize == bound
+
+    def test_dehn_step_prepares_each_set_once(self):
+        # interleaved calls on an open and a closed set, with words that
+        # bring generators the sets lack, answer as a fresh preparation does
+        sets = (TestReplacementSeams.OPEN, SYM2)
+        rng = random.Random(46)
+        words = [random_reduced_word(rng, 6, 14) for _ in range(80)]
+        words += [w("dabc"), w("cdabc"), SURFACE2.relators[0]]
+
+        def fresh(word, s):
+            dehn._prepare_set.cache_clear()
+            return dehn_step(word, s)
+
+        expected = [fresh(word, s) for word in words for s in sets]
+        dehn._prepare_set.cache_clear()
+        assert [dehn_step(word, s) for word in words for s in sets] == expected
+        info = dehn._prepare_set.cache_info()
+        assert (info.misses, info.hits) == (2, 2 * len(words) - 2)
+        assert any(result is not None for result in expected)
+
+    def test_the_set_cache_is_bounded(self):
+        bound = dehn._prepare_set.cache_info().maxsize
+        assert isinstance(bound, int) and bound > 0
+        for n in range(2, bound + 12):
+            dehn_step(w("a"), SymmetrizedRelators((w("a" * n),)))
+        assert dehn._prepare_set.cache_info().currsize == bound
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_certificate_on_the_catalog(self, name):

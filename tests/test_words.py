@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordproblem.words import (
     EPSILON,
@@ -11,6 +13,7 @@ from wordproblem.words import (
     at_line,
     check_letters,
     check_word,
+    code_text,
     commutator,
     concat,
     cyclic_reduce,
@@ -20,6 +23,7 @@ from wordproblem.words import (
     format_plain,
     format_word,
     free_reduce,
+    free_reduce_code,
     invert,
     is_freely_reduced,
     make_word,
@@ -27,6 +31,7 @@ from wordproblem.words import (
     parse_word,
     read_declarations,
     spell,
+    text_code,
 )
 
 
@@ -62,6 +67,41 @@ def loop_parse_word(text, n_gens=None):
                     f"for {n_gens} generators"
                 )
     return tuple(letters)
+
+
+_PARSED = {
+    c: GenLetter(i, sign)
+    for sign, names in ((1, LETTERS), (-1, LETTERS.upper()))
+    for i, c in enumerate(names)
+}
+
+
+def table_parse_word(text, n_gens=None):
+    """parse_word as it was before the code alphabet: one dict lookup per
+    character, the bound checked on the letters."""
+    text = text.strip()
+    if text in ("", "1"):
+        return EPSILON
+    try:
+        letters = tuple(map(_PARSED.__getitem__, text))
+    except KeyError:
+        c = next(c for c in text if c not in _PARSED)
+        raise ValueError(f"invalid character {c!r} in word {text!r}") from None
+    if n_gens is not None and max(letters).index >= n_gens:
+        letter = next(x for x in letters if x.index >= n_gens)
+        raise ValueError(
+            f"letter {spelled_word((letter,))!r} out of range for {n_gens} generators"
+        )
+    return letters
+
+
+def spelled_word(w):
+    """format_word as it was before the code alphabet: spell the indices,
+    then upper-case the inverses."""
+    if not w:
+        return "1"
+    names = spell([letter.index for letter in w])
+    return "".join([c if letter.sign > 0 else c.upper() for c, letter in zip(names, w)])
 
 
 def outcome(f, *args):
@@ -359,6 +399,77 @@ class TestSpell:
 
     def test_format_word_uses_it(self):
         assert format_word((GenLetter(25, -1), GenLetter(0, 1))) == "Za"
-        for index in (26, -1):
-            with pytest.raises(ValueError, match="outside the 26 text letters"):
-                format_word((GenLetter(index, 1),))
+        with pytest.raises(ValueError, match="^letter index 26 outside the 26 text letters$"):
+            format_word((GenLetter(26, 1),))
+        # a negative index is a malformed letter, named as check_word names it
+        with pytest.raises(ValueError, match=r"^malformed letter GenLetter\(index=-1, sign=1\)$"):
+            format_word((GenLetter(-1, 1),))
+
+
+# Text words for the code alphabet's tests: the 52 letters, some whitespace
+# around them, and the two spellings of the empty word.
+LETTER_TEXT = st.text(st.sampled_from(LETTERS + LETTERS.upper()), max_size=30)
+# two generators, so that cancellations nest
+CANCELLING_TEXT = st.text(st.sampled_from("aAbB"), max_size=30)
+PADDING = st.sampled_from(("", " ", "\t", "\n ", "  "))
+# characters that are no letter, among them the codes of letters ('\x00',
+# '\x33', and '0' to '3', which are the codes of y, Y, z and Z)
+INVALID = st.sampled_from(["0", "1", "2", "3", "_", "\u00e9", " ", "\t"]
+                          + [chr(k) for k in range(0x34)])
+N_GENS = st.sampled_from((None, -1, 0, 1, 2, 3, 13, 25, 26, 27, 10**9))
+
+
+@st.composite
+def texts(draw):
+    """A text word, padded, possibly with an invalid character inside."""
+    text = draw(st.one_of(LETTER_TEXT, CANCELLING_TEXT, st.sampled_from(("1", ""))))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(INVALID) + text[at:]
+    return draw(PADDING) + text + draw(PADDING)
+
+
+class TestCodeAlphabet:
+    def test_codes(self):
+        assert text_code("aAbBzZ") == "\x00\x01\x02\x03\x32\x33"
+        assert code_text("\x00\x01\x02\x03\x32\x33") == "aAbBzZ"
+        assert text_code(" 1 ") == text_code("") == ""
+        assert code_text("") == "1"
+
+    def test_characters_that_look_like_codes_are_refused(self):
+        # '0' is chr(48), the code of 'y', and would pass a bound check alone
+        for text in ("a0", "\x00", "a\x33", "Z3"):
+            with pytest.raises(ValueError, match="^invalid character"):
+                text_code(text, 26)
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(texts(), N_GENS)
+    def test_parse_word_matches_the_letter_table(self, text, n_gens):
+        assert outcome(parse_word, text, n_gens) == outcome(table_parse_word, text, n_gens)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(texts(), N_GENS)
+    def test_code_route_matches_the_tuple_route(self, text, n_gens):
+        def codes(text, n_gens):
+            return code_text(free_reduce_code(text_code(text, n_gens)))
+
+        def letters(text, n_gens):
+            return spelled_word(free_reduce(table_parse_word(text, n_gens)))
+
+        assert outcome(codes, text, n_gens) == outcome(letters, text, n_gens)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(LETTER_TEXT)
+    def test_format_word_matches_spelling(self, text):
+        word = parse_word(text)
+        assert format_word(word) == spelled_word(word)
+        assert code_text(text_code(text)) == format_word(word)
+
+    def test_format_word_refuses_malformed_letters(self):
+        for word in (((0, 1),), (GenLetter(0, 1), (1, -1)), (GenLetter(0, 0),),
+                     (GenLetter(1, 2),), (GenLetter(-1, -1),), ("a",)):
+            with pytest.raises(ValueError, match="^malformed letter"):
+                format_word(word)
+        for word, bad in (((GenLetter(26, 1),), 26), ((GenLetter(0, -1), GenLetter(300, -1)), 300)):
+            with pytest.raises(ValueError, match=f"^letter index {bad} outside the 26 text letters$"):
+                format_word(word)
