@@ -139,14 +139,11 @@ def _code(w: Word, encode: dict) -> str:
 
 
 def _extend(encode: dict, decode: dict, letters) -> Tuple[dict, dict]:
-    """The code tables, copied and extended if some of the letters' generators
-    have no codes yet; the letters must pass check_word."""
-    new = [x for x in dict.fromkeys(letters) if x not in encode]
-    if new:
-        encode, decode = dict(encode), dict(decode)
-    for letter in new:
+    """The code tables, extended in place with codes for the generators of
+    the letters that have none yet; the letters must pass check_word."""
+    for letter in letters:
         index, _ = letter
-        if letter not in encode:  # else its inverse came first
+        if letter not in encode:  # else it or its inverse came first
             k = len(encode)
             for code, x in ((chr(k), GenLetter(index, 1)), (chr(k + 1), GenLetter(index, -1))):
                 encode[x] = code
@@ -155,13 +152,15 @@ def _extend(encode: dict, decode: dict, letters) -> Tuple[dict, dict]:
 
 
 def _coded(w: Word, prep: _Prepared, n_gens: Optional[int] = None) -> Tuple[str, dict]:
-    """w as codes, and the table that decodes them.  With n_gens, every
-    letter must name one of n_gens generators."""
+    """w as codes, and the table that decodes them.  A letter equal to one
+    the prepared table codes takes that code; the letters the table lacks
+    must pass check_word, with n_gens if given, and get codes in a copy."""
     try:
         return _code(w, prep.encode), prep.decode
     except KeyError:
         pass
-    encode, decode = _extend(prep.encode, prep.decode, check_word(w, n_gens))
+    new = check_word([x for x in dict.fromkeys(w) if x not in prep.encode], n_gens)
+    encode, decode = _extend(dict(prep.encode), dict(prep.decode), new)
     return _code(w, encode), decode
 
 

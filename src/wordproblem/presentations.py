@@ -37,7 +37,6 @@ from .words import (
     cyclic_shifts,
     format_word,
     invert,
-    is_cyclically_reduced,
     make_word,
     parse_plain,
     parse_word,
@@ -77,15 +76,12 @@ class SymmetrizedRelators:
 
     def __post_init__(self):
         # a word is cyclically reduced when no cyclically adjacent pair of
-        # its letters cancels; test all words' pairs at once, and name the
-        # first bad word only if some pair cancels
+        # its letters cancels: same index, and (the letters being checked)
+        # the other sign
         check_word(tuple(chain.from_iterable(self.words)))
-        pairs = set()
         for w in self.words:
-            pairs.update(zip(w, w[1:] + w[:1]))
-        if any(x.index == y.index and x.sign == -y.sign for x, y in pairs):
-            for w in self.words:
-                if not is_cyclically_reduced(w):
+            for x, y in zip(w, w[1:] + w[:1]):
+                if x[0] == y[0] and x[1] != y[1]:
                     raise ValueError(f"{format_word(w)} is not cyclically reduced")
 
 
@@ -182,10 +178,6 @@ def piece_ratio(words) -> Fraction:
     return Fraction(num, den)
 
 
-def _w(text: str) -> Word:
-    return parse_word(text)
-
-
 def surface_presentation(genus: int = 2) -> GroupPresentation:
     """Orientable surface group: 2g generators, one relator of length 4g
     (the product of the g commutators [a_i, b_i])."""
@@ -248,13 +240,15 @@ CATALOG = {
     # name -> (builder, the one parameter it takes or None); defaults are
     # the builders' own
     "surface": (surface_presentation, "genus"),
-    "torus": (lambda: GroupPresentation(2, (_w("abAB"),)), None),
+    "torus": (lambda: GroupPresentation(2, (parse_word("abAB"),)), None),
     # dihedral group of order 10: sigma^5, tau^2, and tau*sigma*tau*sigma
     # (the relator form of tau*sigma = sigma^-1*tau)
-    "dihedral5": (lambda: GroupPresentation(2, (_w("aaaaa"), _w("bb"), _w("baba"))), None),
+    "dihedral5": (
+        lambda: GroupPresentation(2, tuple(map(parse_word, ("aaaaa", "bb", "baba")))), None
+    ),
     "free_abelian": (free_abelian_presentation, "rank"),
     # catalog convention: trefoil knot group as <x,y | x^2 y^-3>
-    "trefoil": (lambda: GroupPresentation(2, (_w("aaBBB"),)), None),
+    "trefoil": (lambda: GroupPresentation(2, (parse_word("aaBBB"),)), None),
     "higman_truncated": (higman_truncated_presentation, "exponents"),
     "ceijtin": (ceijtin_presentation, None),
 }

@@ -70,9 +70,13 @@ class TreeStep(NamedTuple):
 
 
 def term_size(t: Term) -> int:
-    if isinstance(t, Leaf):
-        return 1
-    return 1 + term_size(t.left) + term_size(t.right)
+    """The number of leaves and nodes of t, counted without recursion: the
+    loop runs over a list that gets each node's children as it goes."""
+    subterms = [t]
+    for s in subterms:
+        if type(s) is Node:
+            subterms += s
+    return len(subterms)
 
 
 def variables(t: Term) -> frozenset:
@@ -277,9 +281,20 @@ def search_tree_equivalence(
 
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Leaf):
-        return t.name if t.tag is None else f"{t.name}:{t.tag}"
-    return f"({format_term(t.left)} {format_term(t.right)})"
+    """The text of t, written without recursion: the walk goes down each
+    left spine and stacks the right children.  Each subterm carries what
+    follows its text: k ')', then ' ', or '' at the end of the text."""
+    out = []
+    stack = [(t, 0, "")]
+    while stack:
+        s, k, tail = stack.pop()
+        while type(s) is Node:
+            out.append("(")
+            stack.append((s[1], k + 1, tail))
+            s, k, tail = s[0], 0, " "
+        out.append(s[0] if s[1] is None else f"{s[0]}:{s[1]}")
+        out.append(")" * k + tail)
+    return "".join(out)
 
 
 def _tokenize(text: str) -> List[str]:

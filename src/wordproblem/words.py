@@ -92,11 +92,12 @@ def free_reduce(w: Word) -> Word:
     """Remove adjacent letter/inverse pairs until none remain.
 
     Idempotent and length-nonincreasing; the result represents the same
-    free-group element.
+    free-group element.  Letters are compared by position, (index, sign),
+    so a plain pair cancels as the GenLetter it equals would.
     """
     stack: list[GenLetter] = []
     for letter in w:
-        if stack and stack[-1].index == letter.index and stack[-1].sign == -letter.sign:
+        if stack and stack[-1][0] == letter[0] and stack[-1][1] == -letter[1]:
             stack.pop()
         else:
             stack.append(letter)
@@ -104,10 +105,7 @@ def free_reduce(w: Word) -> Word:
 
 
 def is_freely_reduced(w: Word) -> bool:
-    return all(
-        not (w[i].index == w[i + 1].index and w[i].sign == -w[i + 1].sign)
-        for i in range(len(w) - 1)
-    )
+    return not any(x[0] == y[0] and x[1] == -y[1] for x, y in zip(w, w[1:]))
 
 
 def invert(w: Word) -> Word:

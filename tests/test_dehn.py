@@ -359,6 +359,26 @@ class TestDehnSolve:
                 with pytest.raises(ValueError, match=message):
                     dehn_solve((letter,), p)
 
+    def test_plain_pairs_follow_the_table(self):
+        # a letter equal to one the prepared table codes takes its code; of
+        # the letters the table lacks, the first that check_word refuses is
+        # named, as it is when all letters are GenLetters
+        assert dehn_solve(((0, 1), (1, 1)), SURFACE2) == dehn_solve(w("ab"), SURFACE2)
+        with pytest.raises(ValueError, match=r"^malformed letter \(9, 1\)$"):
+            dehn_solve(((0, 1), (9, 1)), SURFACE2)
+        with pytest.raises(ValueError, match="^letter index 9 out of range for 4 generators$"):
+            dehn_solve(((0, 1), GenLetter(9, 1)), SURFACE2)
+        nine = GroupPresentation(9, SURFACE2.relators)
+        with pytest.raises(ValueError, match=r"^malformed letter \(6, -1\)$"):
+            dehn_solve(((0, 1), (2, -1), GenLetter(5, 1), (6, -1), (7, 1)), nine)
+        # a presentation without relators codes no letter in advance
+        with pytest.raises(ValueError, match=r"^malformed letter \(0, 1\)$"):
+            dehn_solve(((0, 1), (9, 1)), GroupPresentation(2, ()))
+        open_set = SymmetrizedRelators((w("abcd"),))
+        assert dehn_step(((0, 1), (1, 1), (2, 1)), open_set) == dehn_step(w("abc"), open_set)
+        with pytest.raises(ValueError, match=r"^malformed letter \(4, 1\)$"):
+            dehn_step(((0, 1), (4, 1)), open_set)
+
     def test_codes_do_not_depend_on_the_number_of_generators(self):
         p = GroupPresentation(10**6, ())
         word = w("abc") + (GenLetter(10**6 - 1, -1),)
@@ -386,6 +406,18 @@ class TestTraceReplay:
             word = concat(u, relator, invert(u))
             outcome = dehn_solve(word, SURFACE2)
             assert replay_dehn_trace(word, SYM2, outcome.trace) == outcome.final_word
+
+    def test_replay_reduces_plain_pairs(self):
+        # the replay starts from free_reduce(w), which once left a plain
+        # pair and its inverse in place
+        word = ((0, 1), (0, -1))
+        assert dehn_solve(word, SURFACE2) == DehnOutcome(Verdict.TRIVIAL, (), EPSILON)
+        assert replay_dehn_trace(word, SYM2, ()) == EPSILON
+        relator = SURFACE2.relators[0]
+        plain = tuple(map(tuple, relator)) + ((1, 1), (1, -1))
+        outcome = dehn_solve(plain, SURFACE2)
+        assert outcome.verdict is Verdict.TRIVIAL
+        assert replay_dehn_trace(plain, SYM2, outcome.trace) == EPSILON
 
     def test_replay_rejects_corrupted_step(self):
         relator = SURFACE2.relators[0]

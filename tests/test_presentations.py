@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordproblem.presentations import (
     GroupPresentation,
@@ -17,6 +20,8 @@ from wordproblem.presentations import (
 )
 from wordproblem.words import (
     GenLetter,
+    check_word,
+    cyclic_reduce,
     format_word,
     free_reduce,
     invert,
@@ -157,6 +162,59 @@ class TestSymmetrizedRelators:
     def test_accepts_cyclically_reduced_words(self):
         words = (w("a"), w("aa"), w("abAB"), w("ba"))
         assert SymmetrizedRelators(words).words == words
+
+
+def two_stage_check(words):
+    """The check SymmetrizedRelators made before it walked each word once,
+    kept as the oracle: every letter, then the set of all words' cyclic
+    pairs, then, if some pair cancels, each word again in order."""
+    check_word(tuple(chain.from_iterable(words)))
+    pairs = set()
+    for u in words:
+        pairs.update(zip(u, u[1:] + u[:1]))
+    if any(x.index == y.index and x.sign == -y.sign for x, y in pairs):
+        for u in words:
+            if not is_cyclically_reduced(u):
+                raise ValueError(f"{format_word(u)} is not cyclically reduced")
+
+
+SET_LETTER = st.builds(GenLetter, st.integers(0, 3), st.sampled_from((1, -1)))
+MALFORMED = st.sampled_from([GenLetter(0, 0), GenLetter(-1, 1), GenLetter(1, 2), (0, 1), (2, -1)])
+
+
+@st.composite
+def relator_sets(draw):
+    """Cyclically reduced words, some with a planted defect: a cancelling
+    pair inside, a letter at each end that cancel across the ends, or a
+    malformed letter."""
+    words = []
+    for _ in range(draw(st.integers(0, 6))):
+        word = list(cyclic_reduce(tuple(draw(st.lists(SET_LETTER, max_size=8))))[0])
+        at = draw(st.integers(0, len(word)))
+        x = draw(SET_LETTER)
+        plant = draw(st.sampled_from(("none", "none", "none", "inside", "ends", "malformed")))
+        if plant == "inside":
+            word[at:at] = [x, x.inverse()]
+        elif plant == "ends":
+            word = [x, *word, x.inverse()]
+        elif plant == "malformed":
+            word.insert(at, draw(MALFORMED))
+        words.append(tuple(word))
+    return tuple(words)
+
+
+def check_outcome(check, words):
+    try:
+        check(words)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(relator_sets())
+def test_one_pass_check_matches_the_two_stage_oracle(words):
+    assert check_outcome(SymmetrizedRelators, words) == check_outcome(two_stage_check, words)
 
 
 class TestCatalog:

@@ -645,6 +645,38 @@ def test_search_matches_the_oracle_successors(search, budget):
     assert search_tree_equivalence(a, b, rules, budget) == oracle
 
 
+def recursive_term_size(t):
+    """term_size as it was written before its explicit stack: the oracle."""
+    if isinstance(t, Leaf):
+        return 1
+    return 1 + recursive_term_size(t.left) + recursive_term_size(t.right)
+
+
+def recursive_format_term(t):
+    """format_term as it was written before its explicit stack: the oracle."""
+    if isinstance(t, Leaf):
+        return t.name if t.tag is None else f"{t.name}:{t.tag}"
+    return f"({recursive_format_term(t.left)} {recursive_format_term(t.right)})"
+
+
+@given(term_trees(GROUND + PATTERN_VARS, 16))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_walkers_match_the_recursive_oracles(t):
+    assert term_size(t) == recursive_term_size(t)
+    assert format_term(t) == recursive_format_term(t)
+    assert parse_term(format_term(t)) == t
+
+
+def test_search_between_right_combs_of_1200_leaves():
+    # the sort key walks both ends before any expansion; it once recursed
+    t = right_comb([f"X{k}" for k in range(1, 1201)])
+    assert term_size(t) == 2399
+    assert format_term(t) == "".join(f"(X{k} " for k in range(1, 1200)) + "X1200" + ")" * 1199
+    outcome = search_tree_equivalence(t, Node(t, Leaf("Y")), [ASSOCIATIVITY], 5)
+    assert outcome.status is SearchStatus.BUDGET_EXHAUSTED
+    assert outcome.stats == SearchStats(5, 5986, 1)
+
+
 def test_successors_of_a_right_comb_of_1200_leaves():
     t = Leaf("X1200")
     for k in range(1199, 0, -1):

@@ -137,6 +137,17 @@ class TestFreeReduce:
             word = random_word(rng, 4, 32)
             assert free_reduce(concat(word, invert(word))) == EPSILON
 
+    def test_plain_pairs_cancel_by_position(self):
+        # on a plain tuple .index is the tuple method, so comparing the
+        # fields by name left a plain pair uncancelled
+        assert free_reduce(((0, 1), (0, -1))) == EPSILON
+        assert not is_freely_reduced(((0, 1), (0, -1)))
+        for pair in (((0, 1), GenLetter(0, -1)), (GenLetter(0, 1), (0, -1))):
+            assert free_reduce(pair) == EPSILON
+            assert not is_freely_reduced(pair)
+        assert free_reduce(((0, 1), (1, -1), (1, 1))) == ((0, 1),)
+        assert is_freely_reduced(((0, 1), (0, 1), (1, -1)))
+
 
 class TestInvert:
     def test_product_rule(self):
