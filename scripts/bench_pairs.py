@@ -1,4 +1,4 @@
-"""Alternated parent/change benchmark pairs and the associativity ladder.
+"""Alternated parent/change benchmark pairs and the size ladders.
 
     python3 scripts/bench_pairs.py --parent REV --out BENCH_N.json
         [--seed-base 1400] [--claim TEXT]
@@ -15,7 +15,7 @@ the change won; per query class, each side's median over the pairs of
 the class median that the run record (``bench/runs/<workload>-seed<N>-
 trace0.json`` in that side's tree) holds.
 
-Two size ladders follow, each timed in a fresh interpreter per round;
+Size ladders follow, each timed in a fresh interpreter per round;
 a round takes the best of 3 runs per size, rounds run parent, change,
 change, parent, parent, change, and each size reports the median of its
 side's three rounds.  The associativity ladder times
@@ -23,8 +23,11 @@ side's three rounds.  The associativity ladder times
 comb rotated by one leaf, which ends refuted-exhausted.  The Dehn ladder
 times ``dehn_solve`` on the genus-16 surface group over ten seeded
 random freely reduced words of 1k, 2k, 4k and 8k letters, all certified
-nontrivial, so the scan is most of the cost.  Both sides must give the
-same answers.  Standard library only.
+nontrivial, so the scan is most of the cost.  The power-freeness ladders
+time ``is_power_free`` on Thue-Morse prefixes with k=3 and square-free
+ternary prefixes with k=2 of 1k to 32k letters, both power-free, so the
+whole word is checked.  Both sides must give the same answers.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 LEAVES = [8, 9, 10, 11]
 LETTERS = [1000, 2000, 4000, 8000]
+POWER_LETTERS = [1024, 2048, 4096, 8192, 16384, 32768]
 ROUNDS = ("parent", "change", "change", "parent", "parent", "change")
 
 # each child prints [best seconds, answer check] per size
@@ -107,6 +111,25 @@ print(json.dumps(out))
 """
 
 
+POWER_CHILD = """
+import json, sys, time
+sys.path.insert(0, {src!r})
+from wordproblem.sequences import is_power_free, {prefix}
+
+out = []
+for n in {sizes!r}:
+    word = {prefix}(n)
+    best = None
+    for _ in range(3):
+        t0 = time.perf_counter()
+        answer = is_power_free(word, {k})
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    out.append((best, repr(answer)))
+print(json.dumps(out))
+"""
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -163,13 +186,14 @@ def workload_table(runs, seeds, metrics):
     return table
 
 
-def ladder(parent: Path, change: Path, child: str, sizes: list) -> dict:
+def ladder(parent: Path, change: Path, child: str, sizes: list, **fields) -> dict:
     """Each side's median round per size, its ratio from one size to the
-    next, and the answer checks, which both sides must share."""
+    next, and the answer checks, which both sides must share.  `fields`
+    fill the child's other placeholders."""
     rounds = {"parent": [], "change": []}
     for side in ROUNDS:
         checkout = parent if side == "parent" else change
-        code = child.format(src=str(checkout / "src"), sizes=sizes)
+        code = child.format(src=str(checkout / "src"), sizes=sizes, **fields)
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
         rounds[side].append(json.loads(done.stdout))
@@ -249,6 +273,15 @@ def main(argv=None):
                          "nontrivial; sizes are letters, checks a hash of the traces and "
                          "final words; rounds as in ladder, ratios per doubling"),
                 **ladder(parent, change, DEHN_CHILD, LETTERS)},
+            "power_ladder": {
+                "what": ("is_power_free on the first n letters of the Thue-Morse word "
+                         "with k=3 and of the square-free ternary word with k=2, both "
+                         "power-free; sizes are letters, checks the answers; rounds as "
+                         "in ladder, ratios per doubling"),
+                "thue_morse_k3": ladder(parent, change, POWER_CHILD, POWER_LETTERS,
+                                        prefix="thue_morse_prefix", k=3),
+                "square_free_k2": ladder(parent, change, POWER_CHILD, POWER_LETTERS,
+                                         prefix="square_free_ternary_prefix", k=2)},
         }
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0

@@ -195,7 +195,13 @@ def cmd_tree_equiv(args) -> int:
     return _search_result(args, outcome, lambda trace: _print_tree_trace(rules, trace))
 
 
+# the word is built and checked in memory, a few bytes per letter
+_SEQ_MAX_LETTERS = 2 ** 24
+
+
 def cmd_seq(args) -> int:
+    if args.n > _SEQ_MAX_LETTERS:
+        raise ValueError(f"--n takes at most {_SEQ_MAX_LETTERS} letters, got {args.n}")
     if args.kind == "tm":
         word = sequences.thue_morse_prefix(args.n)
     else:

@@ -294,6 +294,21 @@ class TestErrors:
         assert main(["seq", "--kind", "tm", "--n", "10"]) == 1
         assert capsys.readouterr() == ("", "wordproblem: error: out of memory\n")
 
+    @pytest.mark.parametrize("kind, builder", [
+        ("tm", "thue_morse_prefix"), ("sf3", "square_free_ternary_prefix"),
+    ])
+    def test_seq_refuses_more_than_2_to_the_24_letters(self, monkeypatch, capsys, kind, builder):
+        def unreachable(n):
+            raise AssertionError(f"built a word of {n} letters")
+
+        monkeypatch.setattr(sequences, builder, unreachable)
+        assert main(["seq", "--kind", kind, "--n", str(10 ** 12)]) == 1
+        assert capsys.readouterr() == ("", "wordproblem: error: --n takes at most 16777216 "
+                                           "letters, got 1000000000000\n")
+        monkeypatch.setattr(sequences, builder, lambda n: "01")
+        assert main(["seq", "--kind", kind, "--n", str(2 ** 24)]) == 0
+        assert capsys.readouterr() == ("word: 01\n", "")
+
     @staticmethod
     def dihedral(tmp_path, n):
         path = tmp_path / f"d{n}.txt"

@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordproblem import sequences
 from wordproblem.sequences import (
     SQUARE_FREE_MORPHISM,
     THUE_MORSE_MORPHISM,
@@ -148,6 +150,140 @@ def test_is_power_free_matches_the_scan_on_long_words():
         for word in (thue_morse_prefix(n), square_free_ternary_prefix(n),
                      thue_morse_prefix(n)[:n // 2] + "011" * k + thue_morse_prefix(n)):
             assert is_power_free(word, k) == oracle_is_power_free(word, k)
+
+
+def all_lengths_is_power_free(w, k):
+    """The XOR scan over every block length, without the sampled blocks
+    that pick the lengths worth scanning."""
+    data = w.encode("ascii")
+    n = len(data)
+    word = int.from_bytes(data, "big")
+    best = None
+    for p in range(1, n // k + 1):
+        run = (k - 1) * p
+        end = n - p if best is None else best[0] + run - 1
+        diff = (word ^ (word >> (8 * p))).to_bytes(n, "big")[p:]
+        i = diff.find(b"\0" * run, 0, end)
+        if i >= 0:
+            best = (i, p)
+            if i == 0:
+                break
+    return (True, None) if best is None else (False, best)
+
+
+def fibonacci_prefix(n):
+    a, b = "0", "01"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+FACTOR_SOURCES = {
+    "tm": thue_morse_prefix(4096),
+    "sf": square_free_ternary_prefix(4096),
+    "fib": fibonacci_prefix(4096),
+}
+
+
+@st.composite
+def long_words_with_powers(draw):
+    """A word of up to 1500 letters and a power k in 2-5: a factor of the
+    Thue-Morse, square-free ternary or Fibonacci word, or a random word
+    over 1-4 letters.  Half the words get a run of at least k copies of
+    a block of up to 150 letters planted at the start, middle or end, so
+    blocks pass 16 letters and runs pass one level's window."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(0, 1500))
+    source = draw(st.sampled_from(("tm", "sf", "fib", "random")))
+    if source == "random":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        letters = "0123"[: draw(st.integers(1, 4))]
+        word = "".join(rng.choice(letters) for _ in range(n))
+    else:
+        text = FACTOR_SOURCES[source]
+        at = draw(st.integers(0, len(text) - n))
+        word = text[at : at + n]
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 150))
+        start = draw(st.integers(0, max(0, len(word) - size)))
+        block = word[start : start + size] or "0"
+        run = block * (k + draw(st.integers(0, 3))) + block[: draw(st.integers(0, size))]
+        cut = draw(st.sampled_from((0, len(word) // 2, len(word))))
+        word = word[:cut] + run + word[cut:]
+    return word, k
+
+
+@given(long_words_with_powers())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_sampled_levels_match_the_scan_over_every_length(case):
+    word, k = case
+    assert is_power_free(word, k) == all_lengths_is_power_free(word, k)
+
+
+@pytest.mark.parametrize("word", [
+    "0" * 32768,
+    "01" * 16384,
+    "".join(random.Random(7).choice("01") for _ in range(4096)),
+    "1000" + thue_morse_prefix(4096),
+    thue_morse_prefix(4096)[:100] + "0110" * 3 + thue_morse_prefix(4096),
+    thue_morse_prefix(4096) + "0110" * 5,
+], ids=["unary", "period-2", "random-binary", "early-witness", "planted-cube", "late-power"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_sampled_levels_match_the_scan_on_fixed_words(word, k):
+    assert is_power_free(word, k) == all_lengths_is_power_free(word, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_exact_powers_at_the_level_edges(k):
+    # a block of p letters repeated exactly k times at position i, between
+    # square-free words over other letters; p at both ends of a level and
+    # i at every edge of the sampled blocks, with the run ending the word
+    # or not, and with a power of block length 1 inside the block, which
+    # the scan finds first and which bounds the blocks a level samples
+    background = square_free_ternary_prefix(1000)
+    blocks = square_free_ternary_prefix(3000)[1000:].translate(str.maketrans("012", "345"))
+    for lo in (16, 32, 64):
+        b = ((k - 1) * lo + 1) // 2
+        for p in (lo, lo + 1, 2 * lo - 1):
+            for block in (blocks[:p], ("6" + "7" * k + blocks)[:p]):
+                for i in sorted({0, 1, b - 1, b, b + 1, 2 * b - 1, 2 * b}):
+                    for tail in (0, 200):
+                        word = background[:i] + block * k + background[i : i + tail]
+                        expected = (False, (i, p))
+                        assert is_power_free(word, k) == expected, (lo, p, i, tail)
+                        assert all_lengths_is_power_free(word, k) == expected
+
+
+def lengths_scanned(monkeypatch, word, k):
+    """The block lengths is_power_free hands to its per-length scan."""
+    seen = []
+    scan = sequences._power_at
+
+    def counting(word, n, p, run, end):
+        seen.append(p)
+        return scan(word, n, p, run, end)
+
+    monkeypatch.setattr(sequences, "_power_at", counting)
+    result = is_power_free(word, k)
+    monkeypatch.setattr(sequences, "_power_at", scan)
+    return result, seen
+
+
+@pytest.mark.parametrize("prefix, k", [(thue_morse_prefix, 3), (square_free_ternary_prefix, 2)])
+def test_lengths_scanned_grow_by_a_constant_per_doubling(monkeypatch, prefix, k):
+    # all n // k lengths would be 341 (TM) and 512 (ternary) at 1k letters
+    counts = []
+    for n in (1024, 2048, 4096, 8192, 16384):
+        result, seen = lengths_scanned(monkeypatch, prefix(n), k)
+        assert result == (True, None)
+        assert seen == sorted(set(seen))
+        counts.append(len(seen))
+    assert counts[0] <= 40, counts
+    assert all(b - a <= 4 for a, b in zip(counts, counts[1:])), counts
+
+
+def test_a_power_at_the_start_ends_the_scan(monkeypatch):
+    assert lengths_scanned(monkeypatch, "0" * 4096, 3) == ((False, (0, 1)), [1])
 
 
 class TestFixedPointPrefix:
