@@ -20,13 +20,15 @@ a round takes the best of 3 runs per size, rounds run parent, change,
 change, parent, parent, change, and each size reports the median of its
 side's three rounds.  The associativity ladder times
 ``search_tree_equivalence`` from the left comb of n leaves to the left
-comb rotated by one leaf, which ends refuted-exhausted.  The Dehn ladder
-times ``dehn_solve`` on the genus-16 surface group over ten seeded
-random freely reduced words of 1k, 2k, 4k and 8k letters, all certified
-nontrivial, so the scan is most of the cost.  The power-freeness ladders
-time ``is_power_free`` on Thue-Morse prefixes with k=3 and square-free
-ternary prefixes with k=2 of 1k to 32k letters, both power-free, so the
-whole word is checked.  Both sides must give the same answers.
+comb rotated by one leaf, which ends refuted-exhausted; its checks are
+the full search statistics and, from an untimed search from the left
+comb to the right comb, which ends proven, the statistics and a hash of
+the trace.  The Dehn ladder times ``dehn_solve`` on the genus-16
+surface group over ten seeded random freely reduced words of 1k, 2k,
+4k and 8k letters, all certified nontrivial, so the scan is most of
+the cost.  The power-freeness ladders time ``is_power_free`` on
+Thue-Morse prefixes with k=3 and square-free ternary prefixes with k=2
+of 1k to 32k letters, both power-free, so the whole word is checked.  Both sides must give the same answers.
 Standard library only.
 """
 
@@ -53,7 +55,7 @@ ROUNDS = ("parent", "change", "change", "parent", "parent", "change")
 
 # each child prints [best seconds, answer check] per size
 TREE_CHILD = """
-import json, sys, time
+import hashlib, json, sys, time
 sys.path.insert(0, {src!r})
 from wordproblem.terms import ASSOCIATIVITY, Leaf, Node, search_tree_equivalence
 
@@ -61,6 +63,12 @@ def left_comb(names):
     t = Leaf(names[0])
     for x in names[1:]:
         t = Node(t, Leaf(x))
+    return t
+
+def right_comb(names):
+    t = Leaf(names[-1])
+    for x in reversed(names[:-1]):
+        t = Node(Leaf(x), t)
     return t
 
 out = []
@@ -74,7 +82,10 @@ for n in {sizes!r}:
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
     assert o.status.value == "refuted-exhausted", o
-    out.append((best, o.stats.expanded))
+    proof = search_tree_equivalence(a, right_comb(names), [ASSOCIATIVITY], 10**7)
+    assert proof.status.value == "proven", proof
+    trace = hashlib.sha256(repr(proof.trace).encode()).hexdigest()[:16]
+    out.append((best, [list(o.stats), list(proof.stats), trace]))
 print(json.dumps(out))
 """
 
@@ -263,8 +274,10 @@ def main(argv=None):
             "ladder": {
                 "what": ("search_tree_equivalence(left_comb of n leaves, left_comb rotated "
                          "by one leaf, [ASSOCIATIVITY]), refuted-exhausted; sizes are "
-                         "leaves, checks the states expanded; each round takes the best "
-                         "of 3 runs, rounds ran parent, change, change, parent, parent, "
+                         "leaves; checks the search statistics (expanded, frontier peak, "
+                         "depth), then those and a hash of the trace of the untimed proven "
+                         "search from the left comb to the right comb; each round takes the "
+                         "best of 3 runs, rounds ran parent, change, change, parent, parent, "
                          "change, and each size reports its side's median round"),
                 **ladder(parent, change, TREE_CHILD, LEAVES)},
             "dehn_ladder": {

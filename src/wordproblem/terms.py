@@ -12,15 +12,17 @@ lhs => rhs rewrites a matched subterm by the substituted right side;
 used symmetrically (both orientations) this gives the tree analogue of
 word equivalence, searched with the same bounded engine as strings.
 
-Each rule side is compiled once into closures: the matched side into a
-matcher (a node test per pattern node, an equality test per constant
-leaf, a bind or compare per variable) and the replacing side into a
-builder over the matcher's bindings.  A rule list's plan, the
-(index, direction, matcher, builder) of every rule, forward before
-reverse, is built anew per call.  The successors of a term come from
-one iterative walk over it in preorder with an explicit stack: at each
-subterm the plan is tried in order, then the walk enters the left child
-and then the right one.  Each stack entry keeps its ancestors as a
+Each oriented rule is compiled once, on first use, into one flat
+function generated as Python source: a guard line per node of the
+matched side, a temporary per subterm read or built, the replacing side
+built with tuple.__new__, None when the side does not match.
+match_subst comes from the same compiler, returning the binding instead.
+The compiled functions are cached on the rule's two sides, so searches,
+successors and trace replay share them.  The successors of a term come
+from one iterative walk over it in preorder with an explicit stack: at
+each subterm the plan, the compiled rules in order, forward before
+reverse, is tried, then the walk enters the left child and then the
+right one.  Each stack entry keeps its path and its ancestors as a
 linked chain, along which a rewrite is rebuilt around the untouched
 siblings, so depth costs no Python recursion.  The search takes these
 moves as they come; its visited map keeps the first witness of a term.
@@ -31,7 +33,7 @@ parenthesized pairs: ((A B) C).  Rules are written 'lhs => rhs'.
 
 from __future__ import annotations
 
-import operator
+import functools
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
@@ -54,6 +56,8 @@ class Node(NamedTuple):
 
 
 Term = Union[Leaf, Node]
+
+_new = tuple.__new__  # builds a Node or TreeStep without its Python-level __new__
 
 FORWARD = "fwd"
 REVERSE = "rev"
@@ -100,41 +104,81 @@ class TreeRule:
         return variables(self.lhs) == variables(self.rhs)
 
 
-def _matcher(p: Term, slots: Dict[str, int]) -> Callable[[Term, list], bool]:
-    """A function (subject, env) -> bool that tests whether p instantiates to
-    the subject, appending each variable's value to env at its first
-    occurrence in preorder; slots records that order (name -> index)."""
-    if type(p) is Node:
-        left, right = _matcher(p.left, slots), _matcher(p.right, slots)
-        return lambda s, env: type(s) is Node and left(s[0], env) and right(s[1], env)
-    if not p.is_var():
-        return lambda s, env: s == p  # a Node, a pair of terms, never equals a Leaf
-    tag = p.tag
-    if p.name in slots:
-        i = slots[p.name]
-        if tag is None:
-            return lambda s, env: env[i] == s
-        return lambda s, env: type(s) is Leaf and s[1] == tag and env[i] == s
-    slots[p.name] = len(slots)
-    if tag is None:
-        return lambda s, env: env.append(s) or True
-    return lambda s, env: type(s) is Leaf and s[1] == tag and (env.append(s) or True)
+@functools.lru_cache(maxsize=64)
+def _compile(src: Term, dst: Optional[Term]) -> Callable[[Term], object]:
+    """The function s -> dst instantiated by the match of src on s, or None
+    when src does not match s; with dst None, s -> the match's binding
+    (variable name -> subterm), or None.  Cached on the two sides, so
+    each oriented rule compiles once.
 
+    The function is straight-line source built with compile: one guard
+    line per node of src (a node test, a constant comparison, or a tag
+    test and a comparison with a repeated variable's first occurrence,
+    in preorder, as a recursive matcher would test them), one temporary
+    per subterm read or built, and nodes built with tuple.__new__.
+    Nothing nests with the depth of a side.  The temporaries are v0 (the
+    subject), v1, v2, ...; constant leaves, tags, variable names and
+    messages are namespace values K0, K1, ..., so no text of the rule
+    enters the source.  A variable of dst that src does not bind raises
+    ValueError once src has matched.
+    """
+    consts: List[object] = []
 
-def _builder(t: Term, slots: Dict[str, int]) -> Callable[[list], Term]:
-    """A function env -> t with every variable replaced by its value in env,
-    at its index in slots; a variable outside slots raises when built."""
-    if type(t) is Node:
-        left, right = _builder(t.left, slots), _builder(t.right, slots)
-        return lambda env: Node(left(env), right(env))
-    if not t.is_var():
-        return lambda env: t
-    if t.name in slots:
-        return operator.itemgetter(slots[t.name])
+    def const(value) -> str:
+        consts.append(value)
+        return f"K{len(consts) - 1}"
 
-    def unbound(env):
-        raise ValueError(f"unbound variable {t.name}")
-    return unbound
+    lines = ["def rewrite(v0):"]
+    slots: Dict[str, str] = {}  # variable name -> temporary of its first occurrence
+    n = 1
+    stack = [(src, "v0")]
+    while stack:
+        p, v = stack.pop()
+        if type(p) is Node:
+            lines += [f" if type({v}) is not Node: return None",
+                      f" v{n}, v{n + 1} = {v}[0], {v}[1]"]
+            stack += ((p[1], f"v{n + 1}"), (p[0], f"v{n}"))
+            n += 2
+        elif not p.is_var():
+            lines.append(f" if {v} != {const(p)}: return None")
+        else:
+            tests = []
+            if p[1] is not None:
+                tests += [f"type({v}) is not Leaf", f"{v}[1] != {const(p[1])}"]
+            if p[0] in slots:
+                tests.append(f"{slots[p[0]]} != {v}")
+            else:
+                slots[p[0]] = v
+            if tests:
+                lines.append(f" if {' or '.join(tests)}: return None")
+    if dst is None:
+        pairs = "".join(f"{const(name)}: {v}, " for name, v in slots.items())
+        lines.append(f" return {{{pairs}}}")
+    else:
+        built: List[str] = []  # temporaries of the subterms of dst built so far
+        stack = [dst]  # None marks a node whose two children are built
+        while stack:
+            t = stack.pop()
+            if t is None:
+                right = built.pop()
+                lines.append(f" v{n} = new(Node, ({built.pop()}, {right}))")
+                built.append(f"v{n}")
+                n += 1
+            elif type(t) is Node:
+                stack += (None, t[1], t[0])
+            elif not t.is_var():
+                built.append(const(t))
+            elif t[0] in slots:
+                built.append(slots[t[0]])
+            else:
+                lines.append(f" raise ValueError({const(f'unbound variable {t[0]}')})")
+                break
+        else:
+            lines.append(f" return {built[0]}")
+    namespace = {f"K{i}": value for i, value in enumerate(consts)}
+    namespace.update(Node=Node, Leaf=Leaf, new=_new)
+    exec(compile("\n".join(lines), "<rewrite>", "exec"), namespace)
+    return namespace["rewrite"]
 
 
 def match_subst(pattern: Term, subject: Term) -> Optional[Dict[str, Term]]:
@@ -143,14 +187,29 @@ def match_subst(pattern: Term, subject: Term) -> Optional[Dict[str, Term]]:
     Repeated variables must bind to equal subterms; a tagged variable
     matches only a leaf carrying the same tag.
     """
-    slots: Dict[str, int] = {}
-    env = []
-    return dict(zip(slots, env)) if _matcher(pattern, slots)(subject, env) else None
+    return _compile(pattern, None)(subject)
 
 
 def substitute(t: Term, binding: Dict[str, Term]) -> Term:
-    slots = {name: i for i, name in enumerate(binding)}
-    return _builder(t, slots)(list(binding.values()))
+    """t with every variable replaced by its value in binding; a variable
+    outside binding raises.  The walk keeps its own stack, on which None
+    marks a node whose two children are built."""
+    built: List[Term] = []
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if s is None:
+            right = built.pop()
+            built[-1] = _new(Node, (built[-1], right))
+        elif type(s) is Node:
+            stack += (None, s[1], s[0])
+        elif not s.is_var():
+            built.append(s)
+        elif s[0] in binding:
+            built.append(binding[s[0]])
+        else:
+            raise ValueError(f"unbound variable {s[0]}")
+    return built[0]
 
 
 def _sides(rule: TreeRule, direction: str) -> Tuple[Term, Term]:
@@ -162,30 +221,30 @@ def _sides(rule: TreeRule, direction: str) -> Tuple[Term, Term]:
     raise ValueError(f"direction must be {FORWARD!r} or {REVERSE!r}")
 
 
-def _compile(src: Term, dst: Term) -> Tuple[Callable, Callable]:
-    """The matcher of src and the builder of dst over the matcher's env."""
-    slots: Dict[str, int] = {}
-    return _matcher(src, slots), _builder(dst, slots)
-
-
-def _plan(rules: List[TreeRule]) -> Tuple[tuple, ...]:
-    """(index, direction, matcher, builder) of every rule, forward before
-    reverse; every rule must carry the same variables on both sides."""
-    plan = []
+def _plan(rules: List[TreeRule]) -> Tuple[tuple, tuple]:
+    """The (index, direction, rewrite) of every rule, forward before
+    reverse, and apart the entries whose matched side is not a node, the
+    only ones that can match a leaf.  Every rule must carry the same
+    variables on both sides."""
+    plan, at_leaves = [], []
     for idx, rule in enumerate(rules):
         if not rule.is_reversible():
             raise ValueError(
                 f"rule {idx} cannot be applied in reverse: "
                 "its sides carry different variables"
             )
-        plan += [(idx, d, *_compile(*_sides(rule, d))) for d in (FORWARD, REVERSE)]
-    return tuple(plan)
+        for d in (FORWARD, REVERSE):
+            src, dst = _sides(rule, d)
+            plan.append((idx, d, _compile(src, dst)))
+            if type(src) is not Node:
+                at_leaves.append(plan[-1])
+    return tuple(plan), tuple(at_leaves)
 
 
 def apply_tree_rule(t: Term, rule: TreeRule, path: str, direction: str = FORWARD) -> Term:
     """Rewrite the subterm addressed by path; it must match the rule side.
     The nodes above it are collected on the way down and rebuilt upwards."""
-    match, build = _compile(*_sides(rule, direction))
+    rewrite = _compile(*_sides(rule, direction))
     spine = []
     for d in path:
         if not isinstance(t, Node):
@@ -194,38 +253,42 @@ def apply_tree_rule(t: Term, rule: TreeRule, path: str, direction: str = FORWARD
             raise ValueError(f"path direction must be L or R, got {d!r}")
         spine.append(t)
         t = t.left if d == "L" else t.right
-    env = []
-    if not match(t, env):
+    t = rewrite(t)
+    if t is None:
         raise ValueError(f"rule does not match at path {path!r}")
-    t = build(env)
     for node, d in zip(reversed(spine), reversed(path)):
-        t = Node(t, node.right) if d == "L" else Node(node.left, t)
+        t = _new(Node, (t, node[1]) if d == "L" else (node[0], t))
     return t
 
 
-def _moves(t: Term, plan: Tuple[tuple, ...]) -> List[Tuple[Term, TreeStep]]:
+def _moves(t: Term, plan: Tuple[tuple, tuple]) -> List[Tuple[Term, TreeStep]]:
     """Every one-step rewrite of t under the plan, duplicates included: the
-    subterms in preorder, at each one the plan in order.  A stack entry is
-    a subterm and its chain of ancestors, (node, 'L' or 'R', the node's
-    own chain), along which a rewrite is rebuilt and its path read."""
+    subterms in preorder, at each one the plan's entries in order (at a
+    leaf, those that can match a leaf; no leaf is visited when none can).
+    A stack entry is a subterm, its path and its chain of ancestors (node,
+    the node's own chain), along which a rewrite is rebuilt."""
+    plan, at_leaves = plan
     out = []
-    stack = [(t, None)]
+    stack = [(t, "", None)]
     while stack:
-        s, chain = stack.pop()
-        for idx, direction, match, build in plan:
-            env = []
-            if match(s, env):
-                r = build(env)
-                dirs = []
-                up = chain
-                while up is not None:
-                    node, d, up = up
-                    r = Node(r, node[1]) if d == "L" else Node(node[0], r)
-                    dirs.append(d)
-                out.append((r, TreeStep(idx, direction, "".join(reversed(dirs)))))
+        s, path, chain = stack.pop()
         if type(s) is Node:
-            stack.append((s[1], (s, "R", chain)))
-            stack.append((s[0], (s, "L", chain)))
+            tries = plan
+            up = (s, chain)
+            if at_leaves or type(s[1]) is Node:
+                stack.append((s[1], path + "R", up))
+            if at_leaves or type(s[0]) is Node:
+                stack.append((s[0], path + "L", up))
+        else:
+            tries = at_leaves
+        for idx, direction, rewrite in tries:
+            r = rewrite(s)
+            if r is not None:
+                up = chain
+                for d in reversed(path):
+                    node, up = up
+                    r = _new(Node, (r, node[1]) if d == "L" else (node[0], r))
+                out.append((r, _new(TreeStep, (idx, direction, path))))
     return out
 
 

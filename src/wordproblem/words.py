@@ -109,8 +109,9 @@ def is_freely_reduced(w: Word) -> bool:
 
 
 def invert(w: Word) -> Word:
-    """Reverse the word and flip every sign."""
-    return tuple(letter.inverse() for letter in reversed(w))
+    """Reverse the word and flip every sign; a plain (index, sign) pair
+    inverts as the GenLetter it equals would."""
+    return tuple(GenLetter(index, -sign) for index, sign in reversed(w))
 
 
 def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
@@ -122,13 +123,14 @@ def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
     empty word reports the first half of its cancellation tower as the
     conjugator (e.g. a*b*b^-1*a^-1 gives core=1, u=ab).  A round peels
     with two indices and slices once; the second round starts freely
-    reduced and is the last, so the cost is linear in |w|.
+    reduced and is the last, so the cost is linear in |w|.  Letters are
+    compared by position, as in :func:`free_reduce`.
     """
     core = w
     conjugator: list[GenLetter] = []
     while True:
         i, j = 0, len(core)
-        while j - i >= 2 and core[i] == core[j - 1].inverse():
+        while j - i >= 2 and core[i][0] == core[j - 1][0] and core[i][1] == -core[j - 1][1]:
             i += 1
             j -= 1
         conjugator += core[:i]
@@ -142,7 +144,7 @@ def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
 def is_cyclically_reduced(w: Word) -> bool:
     if not is_freely_reduced(w):
         return False
-    return len(w) < 2 or w[0] != w[-1].inverse()
+    return len(w) < 2 or w[0][0] != w[-1][0] or w[0][1] != -w[-1][1]
 
 
 def cyclic_shifts(w: Word) -> list[Word]:

@@ -163,6 +163,16 @@ class TestSymmetrizedRelators:
         words = (w("a"), w("aa"), w("abAB"), w("ba"))
         assert SymmetrizedRelators(words).words == words
 
+    def test_hash_is_taken_on_first_use_and_kept(self):
+        sym = symmetrize(catalog("surface", genus=3))
+        assert "_hash" not in vars(sym)  # symmetrize does not hash the set
+        first = hash(sym)
+        assert vars(sym)["_hash"] == first == hash(sym)
+        twin = SymmetrizedRelators(sym.words)
+        assert twin == sym and hash(twin) == first
+        assert {sym: "found"}[twin] == "found"
+        assert hash(SymmetrizedRelators(sym.words[1:])) != first
+
 
 def two_stage_check(words):
     """The check SymmetrizedRelators made before it walked each word once,

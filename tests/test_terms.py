@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordproblem.rewriting import RewriteSystem, search_equivalence, thue_closure
+from wordproblem import terms
 from wordproblem.search import DerivationTrace, SearchStats, SearchStatus, class_search
 from wordproblem.terms import (
     ASSOCIATIVITY,
@@ -689,3 +690,103 @@ def test_successors_of_a_right_comb_of_1200_leaves():
         assert rebuilt.left == Leaf(f"X{k}")
         rebuilt = rebuilt.right
     assert rebuilt == Node(Node(Leaf("X1198"), Leaf("X1199")), Leaf("X1200"))
+
+
+@pytest.fixture
+def compiled_sources(monkeypatch):
+    """The source of every rule side compiled while the test runs, read by
+    standing in for compile in the terms module; the compiled-rule cache
+    starts empty."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    terms._compile.cache_clear()
+    monkeypatch.setattr(terms, "compile", spy, raising=False)
+    yield sources
+    terms._compile.cache_clear()
+
+
+# leaf names and tags that would break or change generated source if
+# they were written into it
+AWKWARD = ["'", '"', "\\", ";x", "#", "__import__", "lambda", "K0"]
+
+
+@pytest.mark.parametrize("text", AWKWARD)
+def test_leaf_text_stays_out_of_the_compiled_source(compiled_sources, text):
+    const, tagged = Leaf(text), Leaf(text, text)
+    var, tagged_var = Leaf("?" + text * 2), Leaf("?" + text, text)
+    pattern = Node(Node(const, tagged_var), Node(tagged_var, Node(var, tagged)))
+    subjects = [
+        Node(Node(const, tagged), Node(tagged, Node(B, tagged))),
+        Node(Node(const, tagged), Node(tagged, Node(Node(A, const), tagged))),
+        Node(Node(const, Leaf("B", text)), Node(tagged, Node(B, tagged))),
+        Node(Node(const, tagged), Node(Leaf("B", text), Node(B, tagged))),
+        Node(Node(Leaf("K1"), tagged), Node(tagged, Node(B, tagged))),
+        Node(Node(const, tagged), Node(tagged, Node(B, Leaf(text, "K0")))),
+        Node(const, tagged),
+        const,
+    ]
+    rule = TreeRule(pattern, Node(Node(var, Leaf("K1", text)), Node(tagged_var, var)))
+    for subject in subjects:
+        assert match_subst(pattern, subject) == oracle_match_subst(pattern, subject)
+        for direction in (FORWARD, REVERSE):
+            assert (outcome(apply_tree_rule, subject, rule, "", direction)
+                    == outcome(oracle_apply_tree_rule, subject, rule, "", direction))
+    assert match_subst(pattern, subjects[0]) == {var.name: B, tagged_var.name: tagged}
+    assert len(compiled_sources) == 3
+    for source in compiled_sources:
+        for other in AWKWARD:
+            if other != "K0":  # K0 names the first namespace value
+                assert other not in source
+
+
+def deep_comb(leaves):
+    """The left comb over leaves, built without recursion."""
+    t = leaves[0]
+    for leaf in leaves[1:]:
+        t = Node(t, leaf)
+    return t
+
+
+def test_a_300_deep_rule_side_compiles_flat(compiled_sources):
+    names = [Leaf(f"?x{k}") for k in range(300)] + [Leaf("?t", "p")]
+    lhs = deep_comb(names)
+    rhs = names[0]
+    for leaf in names[1:]:
+        rhs = Node(leaf, rhs)
+    rule = TreeRule(lhs, rhs)
+    subject = deep_comb([Node(A, Leaf(f"C{k}")) for k in range(300)] + [Leaf("E", "p")])
+    t = Node(D, subject)
+    rewritten = apply_tree_rule(t, rule, "R")
+    assert rewritten == oracle_apply_tree_rule(t, rule, "R")
+    assert apply_tree_rule(rewritten, rule, "R", REVERSE) == t
+    assert match_subst(lhs, subject) == oracle_match_subst(lhs, subject)
+    mismatch = deep_comb([Node(A, Leaf(f"C{k}")) for k in range(300)] + [Leaf("E", "q")])
+    assert match_subst(lhs, mismatch) is None
+    with pytest.raises(ValueError, match="^rule does not match at path ''$"):
+        apply_tree_rule(mismatch, rule, "")
+    assert tree_successors(t, [rule]) == oracle_tree_successors(t, [rule])
+    for source in compiled_sources:
+        # one statement a line, no block inside the function, and brackets
+        # that do not nest with the depth of a side
+        lines = source.splitlines()
+        assert all(line.startswith(" ") and not line.startswith("  ") for line in lines[1:])
+        depth = deepest = 0
+        for char in source:
+            depth += (char in "([{") - (char in ")]}")
+            deepest = max(deepest, depth)
+        assert deepest <= 2
+
+
+def test_each_oriented_rule_compiles_once(compiled_sources):
+    a = left_comb("ABCDE")
+    b = right_comb("ABCDE")
+    outcome = search_tree_equivalence(a, b, [ASSOCIATIVITY], 1000)
+    assert outcome.status is SearchStatus.PROVEN
+    replay_tree_trace([ASSOCIATIVITY], outcome.trace)
+    tree_successors(b, [ASSOCIATIVITY])
+    apply_tree_rule(a, ASSOCIATIVITY, "L")
+    assert len(compiled_sources) == 2  # forward and reverse

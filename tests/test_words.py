@@ -25,6 +25,7 @@ from wordproblem.words import (
     free_reduce,
     free_reduce_code,
     invert,
+    is_cyclically_reduced,
     is_freely_reduced,
     make_word,
     parse_plain,
@@ -484,3 +485,22 @@ class TestCodeAlphabet:
         for word, bad in (((GenLetter(26, 1),), 26), ((GenLetter(0, -1), GenLetter(300, -1)), 300)):
             with pytest.raises(ValueError, match=f"^letter index {bad} outside the 26 text letters$"):
                 format_word(word)
+
+
+PLAIN_WORDS = st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=12)
+
+
+@given(PLAIN_WORDS, PLAIN_WORDS, st.integers(0, 3))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_plain_pairs_give_the_results_of_letters(a, b, every):
+    # a plain (index, sign) pair is read by position, as the GenLetter it
+    # equals; with every > 0, one letter in every + 1 is a GenLetter
+    letters_a, letters_b = (tuple(GenLetter(*x) for x in v) for v in (a, b))
+    a, b = (tuple(GenLetter(*x) if every and k % (every + 1) == 0 else tuple(x)
+                  for k, x in enumerate(v))
+            for v in (a, b))
+    assert invert(a) == invert(letters_a)
+    assert cyclic_reduce(a) == cyclic_reduce(letters_a)
+    assert is_cyclically_reduced(a) == is_cyclically_reduced(letters_a)
+    assert commutator(a, b) == commutator(letters_a, letters_b)
+    assert free_reduce(a) == free_reduce(letters_a)
