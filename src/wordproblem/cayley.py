@@ -13,8 +13,9 @@ dead coset, and scans read the table directly; only the coincidence
 routine looks representatives up.  New cosets are numbered in first-use
 order, so the final table is deterministic.
 
-Columns pair generators with their inverses: generator i acts through
-column 2i, its inverse through column 2i+1.
+Columns pair generators with their inverses: a letter acts through the
+column its code names (words.letter_codes), 2i for generator i and 2i+1
+for its inverse.
 
 The subgroup is fixed to the trivial one, so a complete table *is* the
 group: vertices of the Cayley graph are cosets and coset 0 is the
@@ -29,16 +30,12 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Tuple
 
 from .presentations import GroupPresentation
-from .words import GenLetter, Word, distinct_letters, spell
+from .words import GenLetter, Word, distinct_letters, letter_codes, spell
 
 
 class TableStatus(enum.Enum):
     COMPLETE = "complete"
     BUDGET_EXCEEDED = "budget-exceeded"
-
-
-def _column(letter: GenLetter) -> int:
-    return 2 * letter.index + (0 if letter.sign > 0 else 1)
 
 
 class CosetTable(NamedTuple):
@@ -63,7 +60,8 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int) -> CosetTable:
     if max_cosets < 1:
         raise ValueError("coset budget must be >= 1")
     cols = 2 * p.n_gens
-    relators = [[_column(letter) for letter in r] for r in p.relators]
+    codes = letter_codes(set().union(*p.relators))
+    relators = [[ord(codes[letter]) for letter in r] for r in p.relators]
 
     table: List[List[Optional[int]]] = [[None] * cols]
     parent = [0]
@@ -202,7 +200,7 @@ class CayleyGraph:
         return self.trace((letter,), vertex)
 
     def trace(self, w: Word, start: int = 0) -> int:
-        column = {letter: _column(letter) for letter in distinct_letters(w, self.n_gens)}
+        column = {x: ord(c) for x, c in letter_codes(distinct_letters(w, self.n_gens)).items()}
         neighbors = self.neighbors
         vertex = start
         for c in map(column.__getitem__, w):
@@ -291,9 +289,7 @@ def to_tgf(g: CayleyGraph) -> str:
     """Trivial graph format: vertex lines, '#', then one labelled edge per
     vertex and positive generator (inverse edges are implied)."""
     names = spell(range(g.n_gens))
-    lines = [f"{v} {v}" for v in range(g.n_vertices)]
-    lines.append("#")
-    for u in range(g.n_vertices):
-        for i, name in enumerate(names):
-            lines.append(f"{u} {g.neighbors[u][2 * i]} {name}")
+    lines = [f"{v} {v}" for v in range(g.n_vertices)] + ["#"]
+    for u, row in enumerate(g.neighbors):
+        lines += [f"{u} {v} {name}" for v, name in zip(row[::2], names)]  # generators' columns
     return "\n".join(lines) + "\n"

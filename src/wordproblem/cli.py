@@ -125,13 +125,13 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_dehn_solve(args) -> int:
+    # text -> codes -> solver -> text, as reduce; no letters are built
     p = _group_presentation(args)
-    w = parse_word(args.word, p.n_gens)
-    outcome = dehn.dehn_solve(w, p)
+    outcome = dehn._solve(text_code(args.word, p.n_gens), dehn._prepare(p))
     _show(args, "verdict", outcome.verdict.value)
     for step in outcome.trace:
         _show(args, "step", step.relator, step.pos, step.replaced)
-    _show(args, "final", format_word(outcome.final_word))
+    _show(args, "final", code_text(outcome.final_word))
     return EXIT_UNDECIDED if outcome.verdict is dehn.Verdict.INCONCLUSIVE else EXIT_OK
 
 

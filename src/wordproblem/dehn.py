@@ -14,17 +14,17 @@ to the lowest relator index.  b may be empty (a whole relator maps to
 the empty word).
 
 Cost.  A presentation is prepared once and kept in a small cache keyed
-on the presentation: its relators are coded as strings, one character
-per letter, closed under cyclic shifts and inversion, and indexed by
-their shortest majority prefix r[:|r|//2 + 1]; the C'(1/6) certificate
-is computed when first needed and kept with them.  A call codes the
-word once, so the input's free reduction, the scan and the meet of a
-deleted relator's sides compare characters, slicing and concatenation
-are copies done in C, and the final word is decoded once at the end.
-Free reduction is words.free_reduce_code, the package's one kernel on
-code strings (the CLI's reduce runs on it too); whether the input is
-already freely reduced is one big-integer XOR of the word with itself
-one letter on.  A set given to dehn_step is prepared once as well, in a
+on the presentation: its relators are coded as strings by generator
+index (words.letter_codes, which has no code past generator 557,055),
+closed under cyclic shifts and inversion, and indexed by their shortest
+majority prefix r[:|r|//2 + 1]; the C'(1/6) certificate is computed
+when first needed and kept with them.  A call codes the word once; the
+loop, _solve, runs on code strings, so free reduction (in words), the
+scan and the meet of a deleted relator's sides compare characters,
+slicing and concatenation are copies done in C, and the final word is
+decoded once at the end.  The CLI's dehn-solve gives _solve a text
+word's code string (words.text_code) and prints the codes it returns
+as text.  A set given to dehn_step is prepared once as well, in a
 second small cache keyed on the set.  The scan samples the word (Wu and
 Manber, "A fast algorithm for multi-pattern searching", 1994): with m
 the shortest majority prefix length, q = max(1, m // 2) and k = m - q +
@@ -52,7 +52,7 @@ from itertools import chain
 from typing import NamedTuple, Optional, Tuple
 
 from .presentations import GroupPresentation, SymmetrizedRelators, piece_ratio, symmetric_closure
-from .words import GenLetter, Word, check_word, free_reduce, free_reduce_code, invert
+from .words import Word, check_word, free_reduce, free_reduce_code, invert, letter_codes
 
 
 class Verdict(enum.Enum):
@@ -78,25 +78,23 @@ class _Prepared:
     inverses, the majority index over the codes and the scan's sampling
     filter.
 
-    A generator gets two codes, chr(2k) for itself and chr(2k + 1) for
-    its inverse, with k counting generators in the order they first
-    occur; so a letter cancels the next one exactly when their codes
-    differ in the lowest bit.  Only generators that occur get codes, so
-    the code range depends on the relators, not on the number of
-    generators.
+    The tables hold words.letter_codes' codes of the relators' letters
+    and their inverses: a code depends on its generator's index alone,
+    and a generator past index 557,055 has none and raises ValueError.
     """
 
     def __init__(self, relators: Tuple[Word, ...], symmetric: bool):
         """With symmetric, the coded words are the relators' symmetric
         closure, in symmetrize's order; otherwise they are the relators
         as they stand."""
-        self.encode, self.decode = _extend({}, {}, chain.from_iterable(relators))
-        flip = {i: i ^ 1 for i in range(len(self.decode))}
+        self.encode = letter_codes(chain(*relators, *map(invert, relators)))
+        self.decode = {code: letter for letter, code in self.encode.items()}
+        flip = {ord(code): ord(code) ^ 1 for code in self.decode}
 
         def inverse(r: str) -> str:
             return r[::-1].translate(flip)
 
-        self.words = [_code(r, self.encode) for r in relators]
+        self.words = ["".join(map(self.encode.__getitem__, r)) for r in relators]
         if symmetric:
             self.words = symmetric_closure(self.words, inverse)
         self.inverses = [inverse(r) for r in self.words]
@@ -134,34 +132,17 @@ def _prepare_set(s: SymmetrizedRelators) -> _Prepared:
     return _Prepared(s.words, symmetric=False)
 
 
-def _code(w: Word, encode: dict) -> str:
-    return "".join(map(encode.__getitem__, w))
-
-
-def _extend(encode: dict, decode: dict, letters) -> Tuple[dict, dict]:
-    """The code tables, extended in place with codes for the generators of
-    the letters that have none yet; the letters must pass check_word."""
-    for letter in letters:
-        index, _ = letter
-        if letter not in encode:  # else it or its inverse came first
-            k = len(encode)
-            for code, x in ((chr(k), GenLetter(index, 1)), (chr(k + 1), GenLetter(index, -1))):
-                encode[x] = code
-                decode[code] = x
-    return encode, decode
-
-
 def _coded(w: Word, prep: _Prepared, n_gens: Optional[int] = None) -> Tuple[str, dict]:
     """w as codes, and the table that decodes them.  A letter equal to one
-    the prepared table codes takes that code; the letters the table lacks
-    must pass check_word, with n_gens if given, and get codes in a copy."""
+    the prepared table codes takes that code; the letters it lacks must
+    pass check_word, with n_gens if given, and are coded in a copy."""
     try:
-        return _code(w, prep.encode), prep.decode
+        return "".join(map(prep.encode.__getitem__, w)), prep.decode
     except KeyError:
         pass
     new = check_word([x for x in dict.fromkeys(w) if x not in prep.encode], n_gens)
-    encode, decode = _extend(dict(prep.encode), dict(prep.decode), new)
-    return _code(w, encode), decode
+    encode = {**prep.encode, **letter_codes(new)}
+    return "".join(map(encode.__getitem__, w)), {code: x for x, code in encode.items()}
 
 
 def _scan(w: str, start: int, prep: _Prepared) -> Optional[DehnStep]:
@@ -249,6 +230,13 @@ def dehn_solve(w: Word, p: GroupPresentation) -> DehnOutcome:
     """
     prep = _prepare(p)
     code, decode = _coded(w, prep, p.n_gens)
+    verdict, trace, final = _solve(code, prep)
+    return DehnOutcome(verdict, trace, tuple(map(decode.__getitem__, final)))
+
+
+def _solve(code: str, prep: _Prepared) -> DehnOutcome:
+    """dehn_solve on a code string whose letters name generators of the
+    prepared presentation; the final word is a code string too."""
     current = free_reduce_code(code)
     trace = []
     if prep.index:
@@ -268,7 +256,7 @@ def dehn_solve(w: Word, p: GroupPresentation) -> DehnOutcome:
         verdict = Verdict.NONTRIVIAL_CERTIFIED
     else:
         verdict = Verdict.INCONCLUSIVE
-    return DehnOutcome(verdict, tuple(trace), tuple(map(decode.__getitem__, current)))
+    return DehnOutcome(verdict, tuple(trace), current)
 
 
 def replay_dehn_trace(w: Word, s: SymmetrizedRelators, trace) -> Word:

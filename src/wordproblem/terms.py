@@ -73,20 +73,22 @@ class TreeStep(NamedTuple):
         return TreeStep(self.rule, other, self.path)
 
 
-def term_size(t: Term) -> int:
-    """The number of leaves and nodes of t, counted without recursion: the
-    loop runs over a list that gets each node's children as it goes."""
+def _subterms(t: Term) -> List[Term]:
+    """The leaves and nodes of t, listed without recursion: the loop runs
+    over a list that gets each node's children as it goes."""
     subterms = [t]
     for s in subterms:
         if type(s) is Node:
             subterms += s
-    return len(subterms)
+    return subterms
+
+
+def term_size(t: Term) -> int:
+    return len(_subterms(t))
 
 
 def variables(t: Term) -> frozenset:
-    if isinstance(t, Leaf):
-        return frozenset([t.name]) if t.is_var() else frozenset()
-    return variables(t.left) | variables(t.right)
+    return frozenset(s.name for s in _subterms(t) if type(s) is Leaf and s.is_var())
 
 
 @dataclass(frozen=True)

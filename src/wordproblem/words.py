@@ -9,9 +9,10 @@ textual form writes generator i as the lowercase letter LETTERS[i] and
 its inverse as the uppercase letter, so "abA" is a*b*a^-1.  The empty
 word prints as "1".
 
-Text letters also have one code alphabet: generator i is chr(2i) and its
-inverse chr(2i + 1), so two neighbours cancel exactly when their codes
-differ only in the lowest bit, as in the Dehn solver's codes.
+Letters have one code in the package, :func:`letter_codes`: generator
+i is chr(2i) and its inverse chr(2i + 1), up to generator 557,055, so
+two neighbours cancel exactly when their codes differ only in the
+lowest bit.  Dehn's solver, the Cayley walk and the text tables use it.
 :func:`text_code` checks a text word and turns it into its code string,
 one ``str.translate`` each, :func:`code_text` turns codes back, and
 :func:`free_reduce_code` is the free-reduction kernel on code strings.
@@ -181,14 +182,25 @@ def format_word(w: Word) -> str:
     raise AssertionError(f"no text for {w!r}")
 
 
-# The code alphabet: text letter i is chr(2i), its inverse chr(2i + 1).
-_TEXT = "".join(c + c.upper() for c in LETTERS)
-_CODES = "".join(map(chr, range(len(_TEXT))))
+def letter_codes(letters: Iterable[GenLetter]) -> Dict[GenLetter, str]:
+    """The package's one letter code: generator i is chr(2i) and its
+    inverse chr(2i + 1).  The letters must pass check_word; one character
+    holds a code, so generators past 0x10FFFF // 2 have none."""
+    try:
+        return {x: chr(2 * x[0] + (x[1] < 0)) for x in letters}
+    except ValueError:  # chr refuses a code past 0x10FFFF
+        raise ValueError("generator index past 557055, the last a code character holds") from None
+
+
+# The text letters and their codes: 'a' is generator 0, 'A' its inverse.
+_TEXT_OF = {GenLetter(i, s): c if s > 0 else c.upper()
+            for i, c in enumerate(LETTERS) for s in (1, -1)}
+_DECODED = {code: letter for letter, code in letter_codes(_TEXT_OF).items()}
+_TEXT = "".join(_TEXT_OF.values())
+_CODES = "".join(_DECODED)
 _TO_CODE = str.maketrans(_TEXT, _CODES)
 _TO_TEXT = str.maketrans(_CODES, _TEXT)
 _NOT_TEXT = str.maketrans("", "", _TEXT)  # deletes the text letters
-_DECODED = {code: GenLetter(k >> 1, -1 if k & 1 else 1) for k, code in enumerate(_CODES)}
-_TEXT_OF = dict(zip(_DECODED.values(), _TEXT))
 
 
 def text_code(text: str, n_gens: Optional[int] = None) -> str:

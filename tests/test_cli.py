@@ -9,9 +9,11 @@ import pytest
 
 from wordproblem import cli, sequences
 from wordproblem.cli import main
-from wordproblem.presentations import CATALOG
+from wordproblem.dehn import Verdict, dehn_solve
+from wordproblem.presentations import CATALOG, GroupPresentation, catalog, format_presentation
 from wordproblem.reductions import TM_CATALOG
-from wordproblem.words import LETTERS, cyclic_reduce, format_word, free_reduce, parse_word
+from wordproblem.words import (LETTERS, cyclic_reduce, format_word, free_reduce, make_word,
+                               parse_word)
 
 CLI = [sys.executable, "-m", "wordproblem.cli"]
 
@@ -394,6 +396,78 @@ class TestReduceOnCodes:
                 code = main(["reduce", text, "--format", fmt] + cyclic)
             expected = self.tuple_route(text, fmt, bool(cyclic))
             assert (code, out.getvalue(), err.getvalue()) == expected, repr(text)
+
+
+class TestDehnSolveOnCodes:
+    """dehn-solve runs text -> codes -> solver -> text; its output must be
+    byte for byte that of dehn_solve on parsed letters, printed with
+    format_word, error lines included."""
+
+    PRESETS = [(catalog("surface", genus=g), ("--preset", "surface", "--genus", str(g)))
+               for g in (1, 2, 3)]
+    PRESETS += [(catalog(name), ("--preset", name)) for name in ("dihedral5", "trefoil")]
+
+    @staticmethod
+    def cli_route(argv, text, fmt):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["dehn-solve", *argv, text, "--format", fmt])
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def letter_route(text, p, fmt):
+        try:
+            outcome = dehn_solve(parse_word(text, p.n_gens), p)
+        except ValueError as exc:
+            return 1, "", f"wordproblem: error: {exc}\n"
+        sep = ": " if fmt == "human" else " "
+        step = "step: relator {} at {} replacing {}" if fmt == "human" else "step {} {} {}"
+        rows = [f"verdict{sep}{outcome.verdict.value}"]
+        rows += [step.format(*s) for s in outcome.trace]
+        rows.append(f"final{sep}{format_word(outcome.final_word)}")
+        code = 2 if outcome.verdict is Verdict.INCONCLUSIVE else 0
+        return code, "".join(row + "\n" for row in rows), ""
+
+    @staticmethod
+    def random_presentation(rng, path):
+        n = rng.randint(1, 4)
+        relators = []
+        for _ in range(rng.randint(1, 3)):
+            word = [(rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(1, 10))]
+            relators.append(free_reduce(make_word(word)))
+        p = GroupPresentation(n, tuple(relators))  # keeps the cyclically reduced cores
+        path.write_text(format_presentation(p))
+        return p, ("--presentation", str(path))
+
+    def cases(self, rng, tmp_path, count):
+        for i in range(count):
+            if i % 3 == 0:
+                p, argv = self.random_presentation(rng, tmp_path / f"p{i}.txt")
+            else:
+                p, argv = rng.choice(self.PRESETS)
+            # mostly the presentation's letters; now and then one beyond it
+            letters = "".join(c + c.upper() for c in LETTERS[: p.n_gens + (i % 11 == 0)])
+            text = "".join(rng.choice(letters) for _ in range(rng.choice((0, 1, 5, 20, 60))))
+            if i % 13 == 0:
+                text = rng.choice(("1", " 1 ", "a_b", "x0"))
+            if rng.random() < 0.3 and p.relators:
+                r = format_word(rng.choice(p.relators))
+                at = rng.randint(0, len(text))
+                text = text[:at] + r + text[at:]
+            yield p, argv, text, rng.choice(("human", "lines"))
+
+    def test_byte_identical_to_the_letter_route(self, tmp_path):
+        for p, argv, text, fmt in self.cases(random.Random(26), tmp_path, 300):
+            assert self.cli_route(argv, text, fmt) == self.letter_route(text, p, fmt), (argv, text)
+
+    def test_builds_no_letters(self, tmp_path, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("dehn-solve built letters")
+
+        monkeypatch.setattr(cli, "parse_word", unreachable)
+        monkeypatch.setattr(cli, "format_word", unreachable)
+        for p, argv, text, fmt in self.cases(random.Random(27), tmp_path, 60):
+            assert self.cli_route(argv, text, fmt) == self.letter_route(text, p, fmt), (argv, text)
 
 
 class TestGoldenDeterminism:

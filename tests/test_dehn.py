@@ -380,13 +380,18 @@ class TestDehnSolve:
             dehn_step(((0, 1), (4, 1)), open_set)
 
     def test_codes_do_not_depend_on_the_number_of_generators(self):
+        # generator 557,055 is the last whose codes fit one character
         p = GroupPresentation(10**6, ())
-        word = w("abc") + (GenLetter(10**6 - 1, -1),)
+        word = w("abc") + (GenLetter(557_055, -1),)
         began = time.perf_counter()
         outcome = dehn_solve(word, p)
         assert time.perf_counter() - began < 0.1
         assert outcome == DehnOutcome(Verdict.NONTRIVIAL_CERTIFIED, (), word)
         assert dehn_solve(w("abcCBA"), p).verdict is Verdict.TRIVIAL
+        for index in (557_056, 999_999):
+            with pytest.raises(ValueError, match="^generator index past 557055, "
+                                                 "the last a code character holds$"):
+                dehn_solve(w("abc") + (GenLetter(index, -1),), p)
 
     def test_determinism(self):
         rng = random.Random(25)

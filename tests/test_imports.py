@@ -8,7 +8,9 @@ are the public re-exports.
 
 Two input rules are decided only in ``words.py``: how an error names the
 line of a text file, and what a group letter is.  One check keeps other
-modules from deciding them again.
+modules from deciding them again.  The letter code (generator i is
+chr(2i), its inverse chr(2i + 1)) is likewise written only there, in
+``letter_codes``; another check keeps other modules from writing it again.
 
 A class is a dataclass only when its constructor checks its input in
 ``__post_init__``; a plain record is a ``NamedTuple``.  The last check
@@ -109,6 +111,36 @@ def test_flags_a_rule_decided_again():
     assert decided_again(text) == [
         'line 1: raise ValueError(f"line {lineno}: {exc}")',
         'line 2: raise ValueError(f"letter index {i} out of range")',
+    ]
+
+
+# the letter code: a chr( call, or twice a letter's index
+CODED_IN_WORDS = re.compile(r"\bchr\(|\b2\s*\*\s*\w+(?:\.index\b|\[0\])")
+
+
+def coded_again(text):
+    return [f"line {n}: {line.strip()}" for n, line in enumerate(text.splitlines(), start=1)
+            if CODED_IN_WORDS.search(line)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "words.py"],
+                         ids=lambda p: p.name)
+def test_letters_are_coded_in_words(path):
+    found = coded_again(path.read_text(encoding="utf-8"))
+    assert not found, f"{path.name} codes letters, which words.letter_codes does: {found}"
+
+
+def test_flags_a_letter_coded_again():
+    text = ("return 2 * letter.index + (0 if letter.sign > 0 else 1)\n"
+            "code = chr(k + 1)\n"
+            "codes = {x: chr(2*x[0] + (x[1] < 0)) for x in letters}\n"
+            "cols = 2 * n_gens\n"
+            "row[2 * i]\n"
+            "column = ord(codes[letter])\n")
+    assert coded_again(text) == [
+        "line 1: return 2 * letter.index + (0 if letter.sign > 0 else 1)",
+        "line 2: code = chr(k + 1)",
+        "line 3: codes = {x: chr(2*x[0] + (x[1] < 0)) for x in letters}",
     ]
 
 

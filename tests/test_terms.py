@@ -131,6 +131,16 @@ class TestTreeRule:
         collapse = TreeRule(Node(Leaf("?x"), Leaf("?y")), Leaf("?x"))
         assert not collapse.is_reversible()
 
+    def test_sides_deeper_than_the_recursion_limit(self):
+        # a left comb of 2000 variable leaves once raised RecursionError
+        names = [f"?v{i}" for i in range(2000)]
+        comb = left_comb(names)
+        assert variables(comb) == frozenset(names)
+        assert TreeRule(comb, comb).is_reversible()
+        message = r"^right side introduces unbound variables: \['\?w'\]$"
+        with pytest.raises(ValueError, match=message):
+            TreeRule(comb, left_comb(names + ["?w"]))
+
 
 class TestSearch:
     def test_associativity_one_step(self):
