@@ -16,9 +16,10 @@ the class median that the run record (``bench/runs/<workload>-seed<N>-
 trace0.json`` in that side's tree) holds.
 
 Size ladders follow, each timed in a fresh interpreter per round;
-a round takes the best of 3 runs per size, rounds run parent, change,
-change, parent, parent, change, and each size reports the median of its
-side's three rounds.  The associativity ladder times
+a round takes the best of 3 runs per size, rounds alternate parent,
+change, parent, change, parent, change, so no two consecutive rounds
+belong to one side, and each size reports the median of its side's
+three rounds.  The associativity ladder times
 ``search_tree_equivalence`` from the left comb of n leaves to the left
 comb rotated by one leaf, which ends refuted-exhausted; its checks are
 the full search statistics and, from an untimed search from the left
@@ -51,7 +52,7 @@ PAIRS = 10
 LEAVES = [8, 9, 10, 11]
 LETTERS = [1000, 2000, 4000, 8000]
 POWER_LETTERS = [1024, 2048, 4096, 8192, 16384, 32768]
-ROUNDS = ("parent", "change", "change", "parent", "parent", "change")
+ROUNDS = ("parent", "change") * 3
 
 # each child prints [best seconds, answer check] per size
 TREE_CHILD = """
@@ -277,20 +278,21 @@ def main(argv=None):
                          "leaves; checks the search statistics (expanded, frontier peak, "
                          "depth), then those and a hash of the trace of the untimed proven "
                          "search from the left comb to the right comb; each round takes the "
-                         "best of 3 runs, rounds ran parent, change, change, parent, parent, "
-                         "change, and each size reports its side's median round"),
+                         "best of 3 runs, rounds alternated parent, change, parent, change, "
+                         "parent, change, and each size reports its side's median round"),
                 **ladder(parent, change, TREE_CHILD, LEAVES)},
             "dehn_ladder": {
                 "what": ("dehn_solve on the genus-16 surface group over 10 random freely "
                          "reduced words per size, seeded by the size, all certified "
                          "nontrivial; sizes are letters, checks a hash of the traces and "
-                         "final words; rounds as in ladder, ratios per doubling"),
+                         "final words; rounds alternated as in ladder, three per side, ratios "
+                         "per doubling"),
                 **ladder(parent, change, DEHN_CHILD, LETTERS)},
             "power_ladder": {
                 "what": ("is_power_free on the first n letters of the Thue-Morse word "
                          "with k=3 and of the square-free ternary word with k=2, both "
-                         "power-free; sizes are letters, checks the answers; rounds as "
-                         "in ladder, ratios per doubling"),
+                         "power-free; sizes are letters, checks the answers; rounds "
+                         "alternated as in ladder, three per side, ratios per doubling"),
                 "thue_morse_k3": ladder(parent, change, POWER_CHILD, POWER_LETTERS,
                                         prefix="thue_morse_prefix", k=3),
                 "square_free_k2": ladder(parent, change, POWER_CHILD, POWER_LETTERS,

@@ -14,18 +14,19 @@ to the lowest relator index.  b may be empty (a whole relator maps to
 the empty word).
 
 Cost.  A presentation is prepared once and kept in a small cache keyed
-on the presentation: its relators are coded as strings by generator
-index (words.letter_codes, which has no code past generator 557,055),
-closed under cyclic shifts and inversion, and indexed by their shortest
-majority prefix r[:|r|//2 + 1]; the C'(1/6) certificate is computed
-when first needed and kept with them.  A call codes the word once; the
-loop, _solve, runs on code strings, so free reduction (in words), the
-scan and the meet of a deleted relator's sides compare characters,
-slicing and concatenation are copies done in C, and the final word is
-decoded once at the end.  The CLI's dehn-solve gives _solve a text
+on the presentation: the words of symmetrize(p), in its order, are
+coded as strings by generator index (words.letter_codes, which has no
+code past generator 557,055) and indexed by their shortest majority
+prefix r[:|r|//2 + 1]; the C'(1/6) certificate, max_piece_ratio of that
+set, is computed when first needed and kept with them.  A call codes
+the word once; the loop, _solve, runs on code strings, so free
+reduction (in words), the scan and the meet of a deleted relator's
+sides compare characters, slicing and concatenation are copies done in
+C, and the final word is decoded once at the end.  The CLI's dehn-solve gives _solve a text
 word's code string (words.text_code) and prints the codes it returns
 as text.  A set given to dehn_step is prepared once as well, in a
-second small cache keyed on the set.  The scan samples the word (Wu and
+second small cache keyed on the set, and its words are coded as they
+stand.  The scan samples the word (Wu and
 Manber, "A fast algorithm for multi-pattern searching", 1994): with m
 the shortest majority prefix length, q = max(1, m // 2) and k = m - q +
 1, it looks up one q-letter slice per k positions in the set of the
@@ -51,8 +52,8 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple, Optional, Tuple
 
-from .presentations import GroupPresentation, SymmetrizedRelators, piece_ratio, symmetric_closure
-from .words import Word, check_word, free_reduce, free_reduce_code, invert, letter_codes
+from .presentations import GroupPresentation, SymmetrizedRelators, max_piece_ratio, symmetrize
+from .words import GenLetter, Word, check_word, free_reduce, free_reduce_code, invert, letter_codes
 
 
 class Verdict(enum.Enum):
@@ -74,30 +75,24 @@ class DehnOutcome(NamedTuple):
 
 
 class _Prepared:
-    """Relators made ready for the solver: the coded words, their coded
-    inverses, the majority index over the codes and the scan's sampling
-    filter.
+    """A symmetrized set made ready for the solver: its words coded as
+    they stand, their coded inverses, the majority index over the codes,
+    the scan's sampling filter and the set's C'(1/6) certificate.
 
-    The tables hold words.letter_codes' codes of the relators' letters
-    and their inverses: a code depends on its generator's index alone,
-    and a generator past index 557,055 has none and raises ValueError.
+    The tables hold words.letter_codes' codes of the set's letters and
+    their inverses: a code depends on its generator's index alone, and
+    a generator past index 557,055 has none and raises ValueError.
     """
 
-    def __init__(self, relators: Tuple[Word, ...], symmetric: bool):
-        """With symmetric, the coded words are the relators' symmetric
-        closure, in symmetrize's order; otherwise they are the relators
-        as they stand."""
-        self.encode = letter_codes(chain(*relators, *map(invert, relators)))
+    def __init__(self, s: SymmetrizedRelators):
+        self.relators = s
+        letters = dict.fromkeys(chain.from_iterable(s.words))
+        # a set given to dehn_step need not hold the inverses that b^-1 brings
+        self.encode = letter_codes(chain(letters, map(GenLetter.inverse, letters)))
         self.decode = {code: letter for letter, code in self.encode.items()}
         flip = {ord(code): ord(code) ^ 1 for code in self.decode}
-
-        def inverse(r: str) -> str:
-            return r[::-1].translate(flip)
-
-        self.words = ["".join(map(self.encode.__getitem__, r)) for r in relators]
-        if symmetric:
-            self.words = symmetric_closure(self.words, inverse)
-        self.inverses = [inverse(r) for r in self.words]
+        self.words = ["".join(map(self.encode.__getitem__, r)) for r in s.words]
+        self.inverses = [r[::-1].translate(flip) for r in self.words]
         # [(h, {r[:h]: [(idx, r), ...]})] with h = |r|//2 + 1, by increasing h
         groups: dict = {}
         for idx, r in enumerate(self.words):
@@ -119,17 +114,17 @@ class _Prepared:
         """C'(1/6), which makes a word the solver leaves nonempty
         nontrivial; computed on first need, as a word that reduces to
         the empty word needs no certificate."""
-        return not self.words or piece_ratio(self.words) < Fraction(1, 6)
+        return not self.words or max_piece_ratio(self.relators) < Fraction(1, 6)
 
 
 @functools.lru_cache(maxsize=16)
 def _prepare(p: GroupPresentation) -> _Prepared:
-    return _Prepared(p.relators, symmetric=True)
+    return _Prepared(symmetrize(p))
 
 
 @functools.lru_cache(maxsize=16)
 def _prepare_set(s: SymmetrizedRelators) -> _Prepared:
-    return _Prepared(s.words, symmetric=False)
+    return _Prepared(s)
 
 
 def _coded(w: Word, prep: _Prepared, n_gens: Optional[int] = None) -> Tuple[str, dict]:

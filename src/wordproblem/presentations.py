@@ -126,24 +126,20 @@ class SemigroupPresentation:
 Presentation = Union[GroupPresentation, SemigroupPresentation]
 
 
-def symmetric_closure(relators, inverse=invert) -> tuple:
+def symmetrize(p: GroupPresentation) -> SymmetrizedRelators:
     """All cyclic shifts of all relators and of their inverses, deduplicated.
 
-    Order is deterministic: relators in the given order, shifts of the
-    relator before shifts of its inverse, first occurrence kept.  The
-    relators may be words or any other sequences that inverse inverts.
+    Order is deterministic: relators in presentation order, shifts of
+    the relator before shifts of its inverse, first occurrence kept.
+    Dehn's solver indexes this set, so its relator indices are
+    positions in it.
     """
-    return tuple(dict.fromkeys(
+    return SymmetrizedRelators(tuple(dict.fromkeys(
         shift
-        for r in relators
-        for variant in (r, inverse(r))
+        for r in p.relators
+        for variant in (r, invert(r))
         for shift in cyclic_shifts(variant)
-    ))
-
-
-def symmetrize(p: GroupPresentation) -> SymmetrizedRelators:
-    """The symmetric closure of the relators, in presentation order."""
-    return SymmetrizedRelators(symmetric_closure(p.relators))
+    )))
 
 
 def _common_prefix_len(u, v) -> int:
@@ -159,26 +155,18 @@ def max_piece_ratio(s: SymmetrizedRelators) -> Fraction:
 
     A piece is a common prefix of two distinct elements.  A presentation
     satisfies the metric small-cancellation condition C'(lambda) exactly
-    when this ratio is < lambda.
-    """
-    if not s.words:
-        raise ValueError("empty symmetrized relator set")
-    return piece_ratio(s.words)
-
-
-def piece_ratio(words) -> Fraction:
-    """:func:`max_piece_ratio` of distinct words given as any sequences.
+    when this ratio is < lambda; Dehn's solver certifies with it.
 
     For a pair u, v with common prefix length k <= min(|u|, |v|),
     k / min(|u|, |v|) is the larger of k/|u| and k/|v|; so the maximum
     over pairs is the maximum over words u of (longest common prefix of
     u with any other word) / |u|, and in sorted order that longest
-    prefix is shared with a neighbour.  That holds for any order of the
-    letters, so recoding the letters one-to-one (as the Dehn solver's
-    code strings do) leaves the ratio unchanged.  O(N log N) comparisons.
+    prefix is shared with a neighbour.  O(N log N) comparisons.
     """
+    if not s.words:
+        raise ValueError("empty symmetrized relator set")
     num, den = 0, 1
-    ws = sorted(words)
+    ws = sorted(s.words)
     for u, v in zip(ws, ws[1:]):
         piece = _common_prefix_len(u, v)
         if piece:

@@ -163,21 +163,24 @@ def search_equivalence(
 
 
 def rewrite_bounded(w: str, sys: RewriteSystem, max_steps: int) -> DerivationTrace:
-    """Deterministic rewriting: repeatedly take the first successor
-    (leftmost position, lowest rule index) until none applies or the
-    step limit is reached."""
+    """Deterministic rewriting: repeatedly take the first move (leftmost
+    position, lowest rule index) until none applies or the step limit is
+    reached."""
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     check_letters(w, sys.alphabet_size)
     start = w
     steps = []
     for _ in range(max_steps):
-        nexts = successors(w, sys)
-        if not nexts:
+        # each rule's leftmost occurrence; the least (position, index) is the move
+        hits = [(pos, idx) for idx, (lhs, _) in enumerate(sys.rules)
+                if (pos := w.find(lhs)) != -1]
+        if not hits:
             break
-        word, idx, pos = nexts[0]
+        pos, idx = min(hits)
+        lhs, rhs = sys.rules[idx]
+        w = w[:pos] + rhs + w[pos + len(lhs):]
         steps.append((idx, pos))
-        w = word
     return DerivationTrace(start, tuple(steps), w)
 
 

@@ -1,5 +1,7 @@
 import functools
 import random
+from itertools import chain, combinations
+from os.path import commonprefix
 import re
 import time
 from fractions import Fraction
@@ -24,7 +26,6 @@ from wordproblem.presentations import (
     SymmetrizedRelators,
     catalog,
     max_piece_ratio,
-    piece_ratio,
     symmetrize,
 )
 from wordproblem.words import (
@@ -37,6 +38,7 @@ from wordproblem.words import (
     free_reduce,
     free_reduce_code,
     invert,
+    letter_codes,
     make_word,
     parse_word,
 )
@@ -663,7 +665,7 @@ class TestSampledScan:
         n_gens, relators, word = case
         closed = symmetrize(GroupPresentation(n_gens, relators))
         for sym in (SymmetrizedRelators(relators), closed):
-            prep = dehn._Prepared(sym.words, symmetric=False)
+            prep = dehn._Prepared(SymmetrizedRelators(sym.words))
             code, _ = dehn._coded(word, prep)
             index = tuple_majority_index(sym)
             # every resume start, aligned to k or not
@@ -679,14 +681,14 @@ class TestSampledScan:
         for relators, q, k in (("a", 1, 1), ("ab", 1, 2), ("abc", 1, 2),
                                ("abcd", 1, 3), ("abcde abcdefghijkl", 1, 3),
                                ("abcdefghijkl", 3, 5)):
-            prep = dehn._Prepared(tuple(map(w, relators.split())), symmetric=False)
+            prep = dehn._Prepared(SymmetrizedRelators(tuple(map(w, relators.split()))))
             assert (prep.q, prep.k) == (q, k), relators
         prep = dehn._prepare(catalog("surface", genus=16))
         assert (prep.index[0][0], prep.q, prep.k) == (33, 16, 18)
 
     def test_words_shorter_than_the_shortest_prefix(self):
         sym = SymmetrizedRelators((w("abcdefghij"),))  # m = 6
-        prep = dehn._Prepared(sym.words, symmetric=False)
+        prep = dehn._Prepared(SymmetrizedRelators(sym.words))
         for n in range(6):
             code, _ = dehn._coded(w("abcdefghij")[:n], prep)
             assert dehn._scan(code, 0, prep) is None
@@ -769,8 +771,8 @@ class TestFreeReduceOnWideCodes:
 class TestPreparation:
     def test_equal_presentations_share_one_preparation(self, monkeypatch):
         calls = []
-        closure = dehn.symmetric_closure
-        monkeypatch.setattr(dehn, "symmetric_closure", lambda *a: calls.append(a) or closure(*a))
+        closure = dehn.symmetrize
+        monkeypatch.setattr(dehn, "symmetrize", lambda *a: calls.append(a) or closure(*a))
         dehn._prepare.cache_clear()
         first, second = (GroupPresentation(3, (w("abcABC"), w("aabbcc"))) for _ in range(2))
         assert first is not second
@@ -819,15 +821,92 @@ class TestPreparation:
             expected = max_piece_ratio(symmetrize(p)) < Fraction(1, 6)
             assert dehn._prepare(p).certified is expected
 
-    def test_coded_piece_ratio(self):
-        # the certificate is taken on the coded words; recoding keeps the ratio
-        rng = random.Random(45)
-        presentations = [p for _, p in DIFFERENTIAL_PRESENTATIONS]
-        presentations += [random_presentation(rng) for _ in range(100)]
-        presentations += [catalog("surface", genus=40), random_c6_presentation(rng)]
-        for p in filter(lambda p: p.relators, presentations):
-            prep = dehn._Prepared(p.relators, symmetric=True)
-            assert piece_ratio(prep.words) == max_piece_ratio(symmetrize(p))
+
+def coded_closure(p):
+    """Dehn's tables built the other way round: the relators are coded
+    first, then closed under cyclic shifts and the code inverse (relators
+    in order, shifts of r before shifts of r^-1, first occurrence kept),
+    and certified by the piece ratio of the coded words, pair by pair."""
+    encode = letter_codes(chain(*p.relators, *map(invert, p.relators)))
+    flip = {ord(code): ord(code) ^ 1 for code in encode.values()}
+
+    def inverse(r):
+        return r[::-1].translate(flip)
+
+    coded = ["".join(map(encode.__getitem__, r)) for r in p.relators]
+    words = list(dict.fromkeys(
+        v[i:] + v[:i] for r in coded for v in (r, inverse(r)) for i in range(len(v))
+    ))
+    groups = {}
+    for idx, r in enumerate(words):
+        h = len(r) // 2 + 1
+        groups.setdefault(h, {}).setdefault(r[:h], []).append((idx, r))
+    index = sorted(groups.items())
+    m = index[0][0] if index else 1
+    q = max(1, m // 2)
+    k = m - q + 1
+    ratio = max((Fraction(len(commonprefix((u, v))), min(len(u), len(v)))
+                 for u, v in combinations(words, 2)), default=Fraction(0))
+    return {
+        "words": words,
+        "inverses": [inverse(r) for r in words],
+        "index": index,
+        "q": q,
+        "k": k,
+        "grams": frozenset(a[j : j + q] for _, table in index for a in table for j in range(k)),
+        "certified": ratio < Fraction(1, 6),
+    }
+
+
+@st.composite
+def closure_presentation(draw):
+    """1-4 generators and 1-4 relators: reduced words, proper powers u^k,
+    whose shifts repeat within the relator, and shifts of an earlier
+    relator or of its inverse, which repeat across relators.  (No
+    relator is a shift of its own inverse: in a free group no element
+    other than 1 is conjugate to its inverse.)"""
+    n_gens = draw(st.integers(1, 4))
+    letter = st.builds(GenLetter, st.integers(0, n_gens - 1), st.sampled_from((1, -1)))
+    relators = []
+    for kind in draw(st.lists(st.sampled_from(("word", "power", "shift")),
+                              min_size=1, max_size=4)):
+        if kind == "shift" and relators:
+            r = draw(st.sampled_from(relators))
+            r = invert(r) if draw(st.booleans()) else r
+            k = draw(st.integers(0, len(r) - 1))
+            relators.append(r[k:] + r[:k])
+            continue
+        r = cyclically_reduced(draw(st.lists(letter, min_size=1, max_size=8)))
+        if r:
+            relators.append(r * (draw(st.integers(2, 4)) if kind == "power" else 1))
+    return GroupPresentation(n_gens, tuple(relators))
+
+
+def prepared_fields(prep):
+    return {name: getattr(prep, name)
+            for name in ("words", "inverses", "index", "q", "k", "grams", "certified")}
+
+
+class TestPreparedSetAgainstCodedClosure:
+    """_prepare codes symmetrize(p) and certifies with max_piece_ratio;
+    its tables must be those of the closure taken on code strings."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(closure_presentation())
+    def test_random_presentations(self, p):
+        assert prepared_fields(dehn._prepare(p)) == coded_closure(p)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog(self, name):
+        p = catalog(name)
+        if isinstance(p, GroupPresentation):
+            assert prepared_fields(dehn._prepare(p)) == coded_closure(p)
+
+    def test_empty_wide_and_c6_presentations(self):
+        for p in (GroupPresentation(3, ()), catalog("surface", genus=16),
+                  catalog("higman_truncated", exponents=(0, 1, 2, 3)),
+                  random_c6_presentation(random.Random(47))):
+            assert prepared_fields(dehn._prepare(p)) == coded_closure(p)
 
 
 # Finite groups whose Cayley graphs the Dehn solver's answers are checked

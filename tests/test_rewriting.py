@@ -276,6 +276,25 @@ class TestRewriteBounded:
             rewrite_bounded("a", sys, -1)
         assert rewrite_bounded("a", sys, 0) == DerivationTrace("a", (), "a")
 
+    def test_matches_the_first_successor_loop(self):
+        def oracle(w, sys, max_steps):
+            start, steps = w, []
+            for _ in range(max_steps):
+                nexts = successors(w, sys)
+                if not nexts:
+                    break
+                w, idx, pos = nexts[0]
+                steps.append((idx, pos))
+            return DerivationTrace(start, tuple(steps), w)
+
+        rng = random.Random(48)
+        for _ in range(300):
+            size = rng.randint(1, 3)
+            sys = random_system(rng, size, rng.randint(1, 5), 3)
+            word = "".join(rng.choice("abc"[:size]) for _ in range(rng.randint(0, 12)))
+            max_steps = rng.randint(0, 30)
+            assert rewrite_bounded(word, sys, max_steps) == oracle(word, sys, max_steps)
+
 
 class TestTextFormat:
     def test_round_trip(self):
