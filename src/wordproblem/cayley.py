@@ -255,8 +255,11 @@ def estimate_delta(g: CayleyGraph) -> int:
 
     One geodesic per unordered vertex pair (the lexicographically least)
     is used; the defect of a side is how far one of its points can be
-    from the union of the other two sides.  Cubic in the vertex count,
-    intended for small graphs.
+    from the union of the other two sides.  Intended for small graphs:
+    every interior point of the n(n-1)/2 geodesics compares n entries,
+    so the cost is O(n^3 D) on n vertices of diameter D.  On dihedral
+    graphs D grows with n and that is about n^4; 84 and 168 vertices
+    took 1.1 and 15.9 s on an x86-64 machine with Python 3.11.
 
     For each vertex u the distances from every point to the chosen
     geodesic from u to each other vertex w are tabulated as

@@ -268,7 +268,7 @@ def replay_dehn_trace(w: Word, s: SymmetrizedRelators, trace) -> Word:
         r = s.words[step.relator]
         if not 0 < step.replaced <= len(r) or 2 * step.replaced <= len(r):
             raise ValueError(f"step {step}: not a majority prefix of relator")
-        if current[step.pos : step.pos + step.replaced] != r[: step.replaced]:
+        if step.pos < 0 or current[step.pos : step.pos + step.replaced] != r[: step.replaced]:
             raise ValueError(f"step {step}: word does not contain the prefix")
         b = r[step.replaced :]
         current = free_reduce(

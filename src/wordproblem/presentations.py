@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Tuple, Union
 
@@ -84,15 +85,15 @@ class SymmetrizedRelators:
                 if x[0] == y[0] and x[1] != y[1]:
                     raise ValueError(f"{format_word(w)} is not cyclically reduced")
 
-    def __hash__(self):
+    @cached_property
+    def _hash(self) -> int:
         # the tuple hash walks every letter, and Dehn's solver looks a set
         # up by it on every call; it is taken on first use, so that
         # symmetrize does not pay it
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(self.words))
-            return self._hash
+        return hash(self.words)
+
+    def __hash__(self):
+        return self._hash
 
 
 def _semigroup_word(text: str, size: int) -> str:

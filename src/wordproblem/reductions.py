@@ -97,12 +97,10 @@ def tm_step(m: TuringMachine, c: Configuration) -> Optional[Configuration]:
         return None
     q2, written, move = trans
     if move == "R":
-        if c.right:
-            return Configuration(c.left + (written,), q2, c.right[0], c.right[1:])
-        return Configuration(c.left + (written,), q2, BLANK, ())
-    if c.left:
-        return Configuration(c.left[:-1], q2, c.left[-1], (written,) + c.right)
-    return Configuration((), q2, BLANK, (written,) + c.right)
+        right = c.right or (BLANK,)
+        return Configuration(c.left + (written,), q2, right[0], right[1:])
+    left = c.left or (BLANK,)
+    return Configuration(left[:-1], q2, left[-1], (written,) + c.right)
 
 
 class TmResult(NamedTuple):

@@ -36,9 +36,9 @@ class Morphism:
         for img in self.images:
             if not img:
                 raise ValueError("images must be nonempty (positive words)")
-            for c in img:
-                if c not in letters:
-                    raise ValueError(f"image letter {c!r} outside alphabet")
+            stray = img.lstrip(letters)
+            if stray:
+                raise ValueError(f"image letter {stray[0]!r} outside alphabet")
 
     def apply(self, word: str) -> str:
         letters = _DIGITS[: len(self.images)]

@@ -192,28 +192,6 @@ def match_subst(pattern: Term, subject: Term) -> Optional[Dict[str, Term]]:
     return _compile(pattern, None)(subject)
 
 
-def substitute(t: Term, binding: Dict[str, Term]) -> Term:
-    """t with every variable replaced by its value in binding; a variable
-    outside binding raises.  The walk keeps its own stack, on which None
-    marks a node whose two children are built."""
-    built: List[Term] = []
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if s is None:
-            right = built.pop()
-            built[-1] = _new(Node, (built[-1], right))
-        elif type(s) is Node:
-            stack += (None, s[1], s[0])
-        elif not s.is_var():
-            built.append(s)
-        elif s[0] in binding:
-            built.append(binding[s[0]])
-        else:
-            raise ValueError(f"unbound variable {s[0]}")
-    return built[0]
-
-
 def _sides(rule: TreeRule, direction: str) -> Tuple[Term, Term]:
     """(matched side, replacing side) of rule applied in direction."""
     if direction == FORWARD:

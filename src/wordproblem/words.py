@@ -17,7 +17,8 @@ lowest bit.  Dehn's solver, the Cayley walk and the text tables use it.
 one ``str.translate`` each, :func:`code_text` turns codes back, and
 :func:`free_reduce_code` is the free-reduction kernel on code strings.
 :func:`parse_word` decodes the checked codes into letters, and
-:func:`format_word` maps letters to text in one pass.
+:func:`format_word` codes the checked letters and writes the codes
+with :func:`code_text`.
 
 The four text formats of the package (presentations, rewriting systems,
 machines, tree rules) are read in three steps: :func:`read_declarations`
@@ -167,19 +168,9 @@ def format_word(w: Word) -> str:
     A letter that check_word refuses is refused with its message, and an
     index without a text letter with spell's.
     """
-    if not w:
-        return "1"
-    # a plain tuple equals the GenLetter with the same fields, so the types
-    # are checked before the table is used
-    try:
-        if {GenLetter}.issuperset(map(type, w)):
-            return "".join(map(_TEXT_OF.__getitem__, w))
-    except KeyError:
-        pass
-    # every letter check_word accepts whose index has a text letter is in
-    # the table, so spell refuses some index here
-    spell([letter.index for letter in check_word(w)])
-    raise AssertionError(f"no text for {w!r}")
+    letters = distinct_letters(w)
+    spell(letter.index for letter in letters)
+    return code_text("".join(map(letter_codes(letters).__getitem__, w)))
 
 
 def letter_codes(letters: Iterable[GenLetter]) -> Dict[GenLetter, str]:
@@ -193,10 +184,9 @@ def letter_codes(letters: Iterable[GenLetter]) -> Dict[GenLetter, str]:
 
 
 # The text letters and their codes: 'a' is generator 0, 'A' its inverse.
-_TEXT_OF = {GenLetter(i, s): c if s > 0 else c.upper()
-            for i, c in enumerate(LETTERS) for s in (1, -1)}
-_DECODED = {code: letter for letter, code in letter_codes(_TEXT_OF).items()}
-_TEXT = "".join(_TEXT_OF.values())
+_DECODED = {code: letter for letter, code in letter_codes(
+    GenLetter(i, s) for i in range(len(LETTERS)) for s in (1, -1)).items()}
+_TEXT = "".join(c + c.upper() for c in LETTERS)
 _CODES = "".join(_DECODED)
 _TO_CODE = str.maketrans(_TEXT, _CODES)
 _TO_TEXT = str.maketrans(_CODES, _TEXT)
@@ -360,8 +350,7 @@ def format_plain(w: str) -> str:
 def check_letters(text: str, size: int) -> str:
     """Return text if it uses only the first size letters; else name the
     first letter that falls outside."""
-    allowed = LETTERS[:size]
-    for c in text:
-        if c not in allowed:
-            raise ValueError(f"letter {c!r} outside alphabet of size {size}")
+    stray = text.lstrip(LETTERS[:size])
+    if stray:
+        raise ValueError(f"letter {stray[0]!r} outside alphabet of size {size}")
     return text

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from wordproblem import cli, sequences
+from wordproblem import cli, sequences, terms
 from wordproblem.cli import main
 from wordproblem.dehn import Verdict, dehn_solve
 from wordproblem.presentations import CATALOG, GroupPresentation, catalog, format_presentation
@@ -190,6 +190,12 @@ class TestErrors:
         result = run("small-cancel", "--preset", "surface", "--genus", "2", "--bound", "1/0")
         self.assert_one_error_line(result)
 
+    def test_zero_denominator_bound_in_process(self, capsys):
+        argv = ["small-cancel", "--preset", "surface", "--genus", "2", "--bound", "1/0"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "wordproblem: error: bound '1/0' has a zero denominator\n")
+
     def test_two_letter_machine_symbol(self, tmp_path):
         path = tmp_path / "machine.txt"
         path.write_text("states: 1\nsymbols: a b\ntrans: q0 ab -> q0 b R\n")
@@ -201,6 +207,20 @@ class TestErrors:
         deep = "(A " * 3000 + "B" + ")" * 3000
         result = run("tree-equiv", "--rules", str(path), "--from", deep, "--to", "(A B)")
         self.assert_one_error_line(result)
+
+    def test_deeply_nested_term_in_process(self, tmp_path, monkeypatch, capsys):
+        # the parser's RecursionError is raised by hand: a real one in this
+        # process would also remove any trace function, such as the one
+        # scripts/uncovered.py runs tier-1 under; the test above feeds the
+        # real input to a child process
+        def too_deep(text):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        path = tmp_path / "rules.txt"
+        path.write_text("rule: ((?x ?y) ?z) => (?x (?y ?z))\n")
+        monkeypatch.setattr(terms, "parse_term", too_deep)
+        assert main(["tree-equiv", "--rules", str(path), "--from", "(A B)", "--to", "(B A)"]) == 1
+        assert capsys.readouterr() == ("", "wordproblem: error: input nested too deeply\n")
 
     def test_catalog_parameter_the_entry_does_not_take(self):
         self.assert_one_error_line(run("catalog", "surface", "--rank", "3"))

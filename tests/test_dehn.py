@@ -441,6 +441,16 @@ class TestTraceReplay:
         with pytest.raises(ValueError, match="not a majority prefix of relator$"):
             replay_dehn_trace(word, SYM2, (DehnStep(0, 0, 4),))
 
+    def test_replay_rejects_a_negative_position(self):
+        # a slice at -7 of this 9-letter word starts where the solver's
+        # step does, at 2, so the forged step once replayed to its result
+        word = parse_word("ccabABcdd")
+        outcome = dehn_solve(word, SURFACE2)
+        assert outcome.trace == (DehnStep(0, 2, 6),)
+        assert replay_dehn_trace(word, SYM2, outcome.trace) == parse_word("ccdcd")
+        with pytest.raises(ValueError, match="word does not contain the prefix$"):
+            replay_dehn_trace(word, SYM2, (DehnStep(0, -7, 6),))
+
 
 def relator_laden_word(rng, p, chunks):
     """Relator material with noise: conjugated relators and their

@@ -13,8 +13,13 @@ chr(2i), its inverse chr(2i + 1)) is likewise written only there, in
 ``letter_codes``; another check keeps other modules from writing it again.
 
 A class is a dataclass only when its constructor checks its input in
-``__post_init__``; a plain record is a ``NamedTuple``.  The last check
-keeps that rule.
+``__post_init__``; a plain record is a ``NamedTuple``.  One check keeps
+that rule.
+
+A plain tuple equals the GenLetter with the same fields, and only
+``words.distinct_letters`` tells the two apart; one check keeps that
+test there.  Deep input must not cost Python recursion, so the last
+check finds every function that calls itself by name.
 """
 
 import ast
@@ -174,3 +179,63 @@ def test_flags_a_dataclass_without_checks():
                      "@dataclasses.dataclass(frozen=True)\nclass Dotted:\n    x: int\n"
                      "class Record(NamedTuple):\n    x: int\n")
     assert unchecked_dataclasses(tree) == ["Plain", "Dotted"]
+
+
+# the plain-tuple guard: are all the letters' types GenLetter
+PLAIN_TUPLE_GUARD = re.compile(r"\{GenLetter\}\s*\.issuperset\(\s*map\(\s*type\b")
+
+
+def plain_tuple_guards(source):
+    """The innermost function around each line of source that holds the
+    plain-tuple guard, or '' at module level."""
+    functions = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+    def around(n):
+        inner = [f for f in functions if f.lineno <= n <= f.end_lineno]
+        return max(inner, key=lambda f: f.lineno).name if inner else ""
+
+    return [around(n) for n, line in enumerate(source.splitlines(), start=1)
+            if PLAIN_TUPLE_GUARD.search(line)]
+
+
+def test_plain_tuples_are_told_apart_in_distinct_letters():
+    found = {p.name: plain_tuple_guards(p.read_text(encoding="utf-8")) for p in SOURCES}
+    assert {name: f for name, f in found.items() if f} == {"words.py": ["distinct_letters"]}
+
+
+def test_flags_a_plain_tuple_guard_written_again():
+    source = ("def distinct_letters(w):\n"
+              "    return {GenLetter}.issuperset(map(type, w))\n"
+              "def format_word(w):\n"
+              "    def inner():\n"
+              "        return {GenLetter}.issuperset( map(type, w))\n"
+              "    return {GenLetter}.issubset(map(type, w))\n"
+              "ok = {GenLetter}.issuperset(map(type, ()))\n")
+    assert plain_tuple_guards(source) == ["distinct_letters", "inner", ""]
+
+
+def self_calls(tree):
+    """The functions whose body calls a name equal to their own."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == node.name for call in ast.walk(node))]
+
+
+# the inner parse of terms.parse_term is the one recursive function left;
+# making parse_term keep its own stack (ROADMAP, item 13) deletes this entry
+STILL_RECURSIVE = {"terms.py": ["parse"]}
+
+
+def test_no_function_calls_itself():
+    found = {p.name: self_calls(ast.parse(p.read_text(encoding="utf-8"))) for p in SOURCES}
+    assert {name: f for name, f in found.items() if f} == STILL_RECURSIVE
+
+
+def test_flags_a_function_calling_itself():
+    tree = ast.parse("def walk(t):\n    return [walk(c) for c in t]\n"
+                     "def outer(t):\n    def inner(u):\n        return inner(u[1:])\n"
+                     "    return inner(t)\n"
+                     "def loop(t):\n    return t.loop()\n")
+    assert self_calls(tree) == ["walk", "inner"]

@@ -28,7 +28,6 @@ from wordproblem.terms import (
     parse_tree_rules,
     replay_tree_trace,
     search_tree_equivalence,
-    substitute,
     term_size,
     tree_successors,
     variables,
@@ -479,6 +478,18 @@ def oracle_replace_at(t, path, replacement):
     if path[0] == "R":
         return Node(t.left, oracle_replace_at(t.right, path[1:], replacement))
     raise ValueError(f"path direction must be L or R, got {path[0]!r}")
+
+
+def substitute(t, binding):
+    """t with every variable replaced by its value in binding; a variable
+    outside binding raises."""
+    if isinstance(t, Node):
+        return Node(substitute(t.left, binding), substitute(t.right, binding))
+    if not t.is_var():
+        return t
+    if t.name not in binding:
+        raise ValueError(f"unbound variable {t.name}")
+    return binding[t.name]
 
 
 def oracle_sides(rule, direction):
