@@ -29,8 +29,15 @@ surface group over ten seeded random freely reduced words of 1k, 2k,
 4k and 8k letters, all certified nontrivial, so the scan is most of
 the cost.  The power-freeness ladders time ``is_power_free`` on
 Thue-Morse prefixes with k=3 and square-free ternary prefixes with k=2
-of 1k to 32k letters, both power-free, so the whole word is checked.  Both sides must give the same answers.
-Standard library only.
+of 1k to 32k letters, both power-free, so the whole word is checked.
+The coset ladder times ``todd_coxeter`` on the dihedral groups D_n,
+n = 32 to 256 (64 to 512 cosets), and checks a hash of the table; the
+delta ladder times ``estimate_delta`` on the Cayley graphs of D_10,
+D_20, D_42 and D_84 (20 to 168 vertices) and checks the value.  Its
+sizes stop at 168 vertices because the estimate before branch and bound
+took about 10 s a run there, and a side runs it nine times per size.
+Times are kept to the microsecond.  Both sides must give the same
+answers.  Standard library only.
 """
 
 from __future__ import annotations
@@ -52,6 +59,8 @@ PAIRS = 10
 LEAVES = [8, 9, 10, 11]
 LETTERS = [1000, 2000, 4000, 8000]
 POWER_LETTERS = [1024, 2048, 4096, 8192, 16384, 32768]
+COSET_DIHEDRAL = [32, 64, 128, 256]
+DELTA_DIHEDRAL = [10, 20, 42, 84]
 ROUNDS = ("parent", "change") * 3
 
 # each child prints [best seconds, answer check] per size
@@ -141,6 +150,30 @@ for n in {sizes!r}:
 print(json.dumps(out))
 """
 
+# D_n = <a, b | a^n, b^2, (ab)^2>, 2n elements
+DIHEDRAL_CHILD = """
+import hashlib, json, sys, time
+sys.path.insert(0, {src!r})
+from wordproblem.cayley import estimate_delta, to_cayley_graph, todd_coxeter
+from wordproblem.presentations import GroupPresentation
+from wordproblem.words import parse_word
+
+delta = {delta!r}
+out = []
+for n in {sizes!r}:
+    p = GroupPresentation(2, tuple(map(parse_word, ("a" * n, "bb", "abab"))))
+    graph = to_cayley_graph(todd_coxeter(p, 4 * n))
+    run = (lambda: estimate_delta(graph)) if delta else (lambda: todd_coxeter(p, 4 * n))
+    best = None
+    for _ in range(3):
+        t0 = time.perf_counter()
+        answer = run()
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    out.append((best, answer if delta else hashlib.sha256(repr(answer).encode()).hexdigest()[:16]))
+print(json.dumps(out))
+"""
+
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -214,7 +247,7 @@ def ladder(parent: Path, change: Path, child: str, sizes: list, **fields) -> dic
         raise SystemExit("the two sides answered a ladder differently")
     out = {"sizes": sizes, "checks": checks}
     for side, side_rounds in rounds.items():
-        median = [round(statistics.median(r[i][0] for r in side_rounds), 4)
+        median = [round(statistics.median(r[i][0] for r in side_rounds), 6)
                   for i in range(len(sizes))]
         out[f"{side}_s"] = median
         out[f"{side}_ratio"] = [round(b / a, 2) for a, b in zip(median, median[1:])]
@@ -297,6 +330,17 @@ def main(argv=None):
                                         prefix="thue_morse_prefix", k=3),
                 "square_free_k2": ladder(parent, change, POWER_CHILD, POWER_LETTERS,
                                          prefix="square_free_ternary_prefix", k=2)},
+            "coset_ladder": {
+                "what": ("todd_coxeter on the dihedral group D_n = <a, b | a^n, b^2, "
+                         "(ab)^2> with a budget of 4n cosets, complete at 2n; sizes are n, "
+                         "checks a hash of the table; rounds alternated as in ladder, three "
+                         "per side, ratios per doubling"),
+                **ladder(parent, change, DIHEDRAL_CHILD, COSET_DIHEDRAL, delta=False)},
+            "delta_ladder": {
+                "what": ("estimate_delta on the Cayley graph of D_n (2n vertices), the "
+                         "enumeration untimed; sizes are n, checks the value; rounds "
+                         "alternated as in ladder, three per side"),
+                **ladder(parent, change, DIHEDRAL_CHILD, DELTA_DIHEDRAL, delta=True)},
         }
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0

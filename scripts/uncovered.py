@@ -16,9 +16,14 @@ the first statement of its body, and the false way when the frame runs
 another line or returns; a test that raises counts as neither.  Only
 this process is traced: CLI tests that start ``wordproblem`` in a
 subprocess add nothing, so code that only those children run shows up
-here.  Tracing slows tier-1 down about threefold; the whole run takes
-about 2.5 minutes on a 2-core x86-64 machine with Python 3.11.
-Needs the standard library and pytest.
+here.  An exception raised inside a trace function, such as a
+``RecursionError`` from a test that overflows the stack in-process,
+makes Python drop the tracer; every later test would run untraced and
+its lines would read ``never ran``.  So each test whose call leaves no
+tracer behind fails, named in pytest's summary, and the run fails.
+Tracing slows tier-1 down about threefold; the whole run takes about
+2.5 minutes on a 2-core x86-64 machine with Python 3.11.  Needs the
+standard library and pytest.
 """
 
 from __future__ import annotations
@@ -75,6 +80,23 @@ class Recorder:
         return local
 
 
+class TracerCheck:
+    """A pytest plugin that fails the test after whose call
+    ``sys.gettrace()`` is no longer ``trace``."""
+
+    def __init__(self, trace):
+        self.trace = trace
+
+    @pytest.hookimpl(wrapper=True)
+    def pytest_runtest_makereport(self, item, call):
+        report = yield
+        if call.when == "call" and sys.gettrace() is not self.trace:
+            report.outcome = "failed"
+            report.longrepr = (f"{item.nodeid} cleared the tracer: the tests after it "
+                               "run untraced, so the report below is incomplete")
+        return report
+
+
 def run_tier1(recorder: Recorder) -> int:
     if any(name == "wordproblem" or name.startswith("wordproblem.") for name in sys.modules):
         raise SystemExit("wordproblem was imported before tracing began")
@@ -82,10 +104,12 @@ def run_tier1(recorder: Recorder) -> int:
     sys.path.insert(0, src)
     # the CLI tests' children import the package too
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    threading.settrace(recorder.trace)
-    sys.settrace(recorder.trace)
+    trace = recorder.trace
+    threading.settrace(trace)
+    sys.settrace(trace)
     try:
-        return pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        return pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")],
+                           plugins=[TracerCheck(trace)])
     finally:
         sys.settrace(None)
         threading.settrace(None)

@@ -13,9 +13,17 @@ dead coset, and scans read the table directly; only the coincidence
 routine looks representatives up.  New cosets are numbered in first-use
 order, so the final table is deterministic.
 
+One scan is skipped where it provably changes nothing.  When a relator
+is a proper power u^m whose m exceeds the letters of all the other
+relators together (a^n in a dihedral group), a closed scan of it from a
+coset closes the whole cycle, and the cosets reached from there by u,
+u^2, ..., u^(m-1) skip it: about two scans of a^n on D_n, not 2n.  The
+table is the same at every step, partial tables included.
+
 Columns pair generators with their inverses: a letter acts through the
 column its code names (words.letter_codes), 2i for generator i and 2i+1
-for its inverse.
+for its inverse.  A Cayley graph keeps each letter's column of targets,
+so a walk looks each letter up once.
 
 The subgroup is fixed to the trivial one, so a complete table *is* the
 group: vertices of the Cayley graph are cosets and coset 0 is the
@@ -27,10 +35,11 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .presentations import GroupPresentation
-from .words import GenLetter, Word, distinct_letters, letter_codes, spell
+from .words import GenLetter, Word, distinct_letters, letter_codes, only_gen_letters, spell
 
 
 class TableStatus(enum.Enum):
@@ -143,20 +152,46 @@ def todd_coxeter(p: GroupPresentation, max_cosets: int) -> CosetTable:
             f = define(f, rel[i])
             i += 1
 
+    # Write a relator r as u^m with u primitive.  Once the scan of r from a
+    # live alpha has closed, the scans from alpha.u^i (0 < i < m) read the
+    # same closed cycle, and merging cosets keeps it closed, so those later
+    # cosets can skip r.  Marking them walks (m - 1)|u| letters, and every
+    # coset pays a set lookup; that pays only when r's scans are most of a
+    # coset's work.  So r gets marks when m exceeds the letters of all the
+    # other relators together, which at most one relator can.
+    root, rest, closed = (), relators, set()
+    size = max(map(len, relators), default=0)
+    others = sum(map(len, relators)) - size
+    if size > others:
+        longest = next(r for r in relators if len(r) == size)
+        period = next(q for q in range(1, size + 1)
+                      if size % q == 0 and longest[q:] == longest[:-q])
+        if size // period > max(others, 1):
+            root, rest = longest[:period], [r for r in relators if r is not longest]
+
     status = TableStatus.COMPLETE
     try:
         alpha = 0
         while alpha < len(table):
             if parent[alpha] == alpha:
-                for rel in relators:
+                skip = alpha in closed
+                for rel in rest if skip else relators:
                     scan_and_fill(alpha, rel)
                     if parent[alpha] != alpha:
                         break
                 else:
+                    if root and not skip:
+                        beta = alpha
+                        for _ in range(size // len(root) - 1):
+                            for c in root:
+                                beta = table[beta][c]
+                            if beta > alpha:
+                                closed.add(beta)
                     row = table[alpha]
-                    for c in range(cols):
-                        if row[c] is None:
-                            define(alpha, c)
+                    if None in row:
+                        for c in range(cols):
+                            if row[c] is None:
+                                define(alpha, c)
             alpha += 1
     except _Budget:
         status = TableStatus.BUDGET_EXCEEDED
@@ -199,12 +234,28 @@ class CayleyGraph:
     def step(self, vertex: int, letter: GenLetter) -> int:
         return self.trace((letter,), vertex)
 
+    @cached_property
+    def _columns(self) -> Dict[GenLetter, Tuple[int, ...]]:
+        """Each of the 2 n_gens letters with its column of neighbors:
+        entry u is the vertex its edge from u reaches."""
+        columns = list(zip(*self.neighbors)) or [()] * (2 * self.n_gens)
+        codes = letter_codes(GenLetter(i, s) for i in range(self.n_gens) for s in (1, -1))
+        return {x: columns[ord(c)] for x, c in codes.items()}
+
     def trace(self, w: Word, start: int = 0) -> int:
-        column = {x: ord(c) for x, c in letter_codes(distinct_letters(w, self.n_gens)).items()}
-        neighbors = self.neighbors
+        # one lookup per letter; a plain tuple would find its GenLetter's
+        # column, and a letter outside the table has none, so either way
+        # distinct_letters names the first bad letter
+        if not only_gen_letters(w):
+            distinct_letters(w, self.n_gens)
+        columns = self._columns
         vertex = start
-        for c in map(column.__getitem__, w):
-            vertex = neighbors[vertex][c]
+        try:
+            for column in map(columns.__getitem__, w):
+                vertex = column[vertex]
+        except KeyError:
+            distinct_letters(w, self.n_gens)
+            raise
         return vertex
 
 
@@ -255,37 +306,69 @@ def estimate_delta(g: CayleyGraph) -> int:
 
     One geodesic per unordered vertex pair (the lexicographically least)
     is used; the defect of a side is how far one of its points can be
-    from the union of the other two sides.  Intended for small graphs:
-    every interior point of the n(n-1)/2 geodesics compares n entries,
-    so the cost is O(n^3 D) on n vertices of diameter D.  On dihedral
-    graphs D grows with n and that is about n^4; 84 and 168 vertices
-    took 1.1 and 15.9 s on an x86-64 machine with Python 3.11.
+    from the union of the other two sides.  The defect of a point p on
+    the side u-v, over every third vertex w at once, is one C-level
+    ``max(map(min, by_point[u][p], by_point[v][p]))``, where
+    ``by_point[u][p][w]`` is the distance from p to the geodesic from u
+    to w; a third vertex equal to u or v contributes 0, since the side
+    u-u is the point u.
 
-    For each vertex u the distances from every point to the chosen
-    geodesic from u to each other vertex w are tabulated as
-    ``by_point[u][p][w]``; that is n^3 entries, about 4.7 million (some
-    60 MB with the per-geodesic vectors) for the 168 vertices of
-    PSL(2,7).  The defect of a point p on the side u-v, over every third
-    vertex w at once, is then one C-level
-    ``max(map(min, by_point[u][p], by_point[v][p]))``, so Python loops
-    only over the points of the n^2/2 sides.  A third vertex equal to u
-    or v contributes 0, since the side u-u is the point u.
+    Branch and bound: the point at distance i from u on a side of length
+    d lies within i of u, on every side u-w, and within d - i of v, so
+    its defect is at most min(i, d - i).  Sides are visited by decreasing
+    length, only points whose bound beats the best defect so far are
+    measured, and the search stops once d // 2 can beat it no more.
+    Geodesics and a vertex's ``by_point`` table (n^2 entries, each
+    geodesic's distance vector built once) are made only when a point
+    that survives needs them.
+
+    So the cost is n breadth-first searches and sorting the n^2/2 sides
+    by length, plus O(n^2 D) per table built on n vertices of diameter
+    D.  Where the longest side decides the answer, as on every graph of
+    a finite group presentation tried (dihedral, A5, PSL(2,7)), that is
+    two tables: the 256 vertices of D128 take about 0.2 s on an x86-64
+    machine with Python 3.11.  The worst case still builds every table
+    and holds the n^3 distances: graphs that are not vertex-transitive
+    can need them.
     """
     n = g.n_vertices
     dist = [_bfs_distances(g, s) for s in range(n)]
     if any(d < 0 for row in dist for d in row):
         raise ValueError("graph is disconnected")
 
-    geodesic = {(u, v): _lex_least_geodesic(g, dist, u, v)
-                for u in range(n) for v in range(u + 1, n)}
-    # near[u][w][p]: distance from p to the side u-w (distances are symmetric)
-    near = [[dist[u]] * n for u in range(n)]
-    for (u, w), path in geodesic.items():
-        near[u][w] = near[w][u] = list(map(min, *(dist[q] for q in path)))
-    by_point = [list(zip(*row)) for row in near]
-    # an end point of a side lies on one of the other two sides
-    return max((max(map(min, by_point[u][p], by_point[v][p]))
-                for (u, v), path in geodesic.items() for p in path[1:-1]), default=0)
+    # sides[d]: the vertex pairs u < v at distance d
+    sides: List[List[Tuple[int, int]]] = [[] for _ in range(max(map(max, dist), default=0) + 1)]
+    for u, row in enumerate(dist):
+        for v in range(u + 1, n):
+            sides[row[v]].append((u, v))
+
+    near = {}  # (u, w) with u < w: each vertex's distance to the side u-w
+    by_point: List[Optional[List[Tuple[int, ...]]]] = [None] * n
+
+    def table(u: int) -> List[Tuple[int, ...]]:
+        if by_point[u] is None:
+            rows = [dist[u]] * n
+            for w in range(n):
+                if w != u:
+                    side = (u, w) if u < w else (w, u)
+                    if side not in near:
+                        path = _lex_least_geodesic(g, dist, *side)
+                        near[side] = list(map(min, *(dist[q] for q in path)))
+                    rows[w] = near[side]
+            by_point[u] = list(zip(*rows))
+        return by_point[u]
+
+    best = 0
+    for d in range(len(sides) - 1, 0, -1):
+        for u, v in sides[d]:
+            if d // 2 <= best:
+                return best
+            path = _lex_least_geodesic(g, dist, u, v)
+            for i in range(best + 1, d - best):
+                if min(i, d - i) > best:
+                    p = path[i]
+                    best = max(best, max(map(min, table(u)[p], table(v)[p])))
+    return best
 
 
 def to_tgf(g: CayleyGraph) -> str:

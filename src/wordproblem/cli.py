@@ -215,8 +215,10 @@ def cmd_seq(args) -> int:
     return EXIT_OK
 
 
-# estimate_delta holds about n^3 distances, so its memory grows with the
-# cube of the coset count
+# estimate_delta's branch and bound builds two distance tables on the
+# Cayley graphs of finite groups tried, but a graph that needs every side
+# measured holds about n^3 distances, so its memory can grow with the cube
+# of the coset count; the cap stays at 256 cosets
 _DELTA_MAX_COSETS = 256
 
 

@@ -55,14 +55,21 @@ Word = Tuple[GenLetter, ...]
 EPSILON: Word = ()
 
 
+def only_gen_letters(w: Word) -> bool:
+    """True when every letter of w is of type GenLetter.  A plain tuple
+    equals, and hashes as, the GenLetter with the same fields, so a dict
+    or set of letters cannot tell the two apart; only the type can."""
+    return {GenLetter}.issuperset(map(type, w))
+
+
 def distinct_letters(w: Word, n_gens: Optional[int] = None) -> Dict[GenLetter, None]:
     """The distinct letters of w in first-occurrence order, once every
     letter is a GenLetter with sign +1 or -1 and index >= 0, and index <
     n_gens when n_gens is given; else name the first letter that is not."""
-    # A plain tuple equals the GenLetter with the same fields and would
-    # hide behind it in the dedup, so w is walked whole unless every
-    # letter is a GenLetter; that walk raises at the first that is not.
-    letters = dict.fromkeys(w) if {GenLetter}.issuperset(map(type, w)) else w
+    # A plain tuple would hide behind its GenLetter in the dedup, so w is
+    # walked whole unless every letter is a GenLetter; that walk raises at
+    # the first that is not.
+    letters = dict.fromkeys(w) if only_gen_letters(w) else w
     for letter in letters:
         if not isinstance(letter, GenLetter):
             raise ValueError(f"malformed letter {letter!r}")

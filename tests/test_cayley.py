@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from collections import deque
 
 import pytest
@@ -407,6 +408,37 @@ def test_delta_exact_values(name, delta):
     assert estimate_delta(to_cayley_graph(todd_coxeter(presentation, 4096))) == delta
 
 
+# Cayley graphs are vertex-transitive, and there the longest side decides
+# delta.  Schreier graphs (permutations acting on points) are not: delta
+# can fall below half the diameter, and then the branch and bound must
+# measure further sides and build more tables.
+
+
+def schreier_graph(perms):
+    """Each point's edge to its image under each permutation and, mirrored,
+    under its inverse; None when the points are not all connected."""
+    columns = [c for p in perms for c in (p, inverse(p))]
+    graph = CayleyGraph(len(perms), tuple(zip(*columns)))
+    return graph if -1 not in oracle_distances(graph, 0) else None
+
+
+def test_delta_on_a_path_is_below_half_its_diameter():
+    # two involutions make the path 0-1-2-3-4 with loops at both ends;
+    # every geodesic triangle on a tree is a tripod
+    graph = schreier_graph([(1, 0, 3, 2, 4), (0, 2, 1, 4, 3)])
+    assert geodesic_distance(graph, 0, 4) == 4
+    assert estimate_delta(graph) == oracle_estimate_delta(graph) == 0
+
+
+@given(st.integers(3, 24).flatmap(
+    lambda k: st.lists(st.permutations(range(k)).map(tuple), min_size=1, max_size=2)))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_delta_matches_the_triple_scan_on_schreier_graphs(perms):
+    graph = schreier_graph(perms)
+    if graph is not None:
+        assert estimate_delta(graph) == oracle_estimate_delta(graph)
+
+
 # ------------------------------------------------- lazy enumeration oracle
 # The enumerator with lazy coincidences: rows of dead cosets stay named in
 # the table, and every read goes through find.  Under find the table is
@@ -551,6 +583,44 @@ def test_todd_coxeter_matches_the_lazy_oracle(generators_and_relators, budget):
     assert (table.rows, table.status) == oracle_todd_coxeter(p, budget)
 
 
+# A relator u^m that outweighs the others lets todd_coxeter skip the scans
+# its period proves closed; draw such powers often, beside short relators.
+def power_relators(n_gens):
+    power = st.tuples(letters_over(n_gens, 1, 4), st.integers(1, 7)).map(lambda t: t[0] * t[1])
+    return st.lists(power, min_size=1, max_size=3)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), power_relators(n))),
+       st.integers(1, 200))
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_todd_coxeter_matches_the_lazy_oracle_on_proper_powers(generators_and_relators, budget):
+    n_gens, relators = generators_and_relators
+    p = GroupPresentation(n_gens, tuple(relators))
+    table = todd_coxeter(p, budget)
+    assert (table.rows, table.status) == oracle_todd_coxeter(p, budget)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_the_period_of_a_to_the_n_spares_its_scans(n):
+    # D_n has two a-cycles, the rotations and the reflections; a^n is
+    # scanned once on each, where every one of the 2n cosets scanned it
+    scans = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "scan_and_fill" \
+                and len(frame.f_locals["rel"]) == n:
+            scans.append(frame.f_locals["alpha"])
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        table = todd_coxeter(dihedral(n)[0], 4096)
+    finally:
+        sys.setprofile(previous)
+    assert (table.n_cosets, table.status) == (2 * n, TableStatus.COMPLETE)
+    assert len(scans) == 2
+
+
 @pytest.mark.parametrize("budget", [1, 2, 3, 10, 100, 1000])
 @pytest.mark.parametrize("name", [name for name, (build, _) in CATALOG.items()
                                   if isinstance(build(), GroupPresentation)])
@@ -571,19 +641,59 @@ PERMUTATION_GRAPHS = {name: to_cayley_graph(todd_coxeter(p, 4096))
                       for name, (p, _) in PERMUTATION_MODELS.items()}
 
 
-@given(st.sampled_from(sorted(PERMUTATION_MODELS)).flatmap(lambda name: st.tuples(
-           st.just(name),
-           letters_over(PERMUTATION_MODELS[name][0].n_gens, max_size=60),
-           st.integers(0, 10**6))))
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-def test_trace_matches_a_letter_by_letter_walk(case):
-    name, word, start = case
-    graph = PERMUTATION_GRAPHS[name]
-    start %= graph.n_vertices
+# letters the walk must refuse, naming the first: plain tuples, which equal
+# the GenLetters with the same fields, malformed letters and out of range
+BAD_LETTERS = [(0, 1), (1, -1), GenLetter(0, 0), GenLetter(1, 2), GenLetter(-1, 1),
+               GenLetter(2, 1), GenLetter(7, -1)]
+
+
+def oracle_walk(graph, word, start):
+    """Every letter checked in order, then one step per letter."""
+    for letter in word:
+        if not isinstance(letter, GenLetter) or letter.sign not in (1, -1) or letter.index < 0:
+            raise ValueError(f"malformed letter {letter!r}")
+        if letter.index >= graph.n_gens:
+            raise ValueError(f"letter index {letter.index} out of range for {graph.n_gens} "
+                             "generators")
     vertex = start
     for letter in word:
         vertex = graph.neighbors[vertex][2 * letter.index + (letter.sign < 0)]
-    assert graph.trace(word, start) == vertex
+    return vertex
+
+
+def outcome(walk, *args):
+    try:
+        return walk(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.sampled_from(sorted(PERMUTATION_MODELS)), letters_over(2, max_size=60),
+       st.lists(st.tuples(st.integers(0, 60), st.sampled_from(BAD_LETTERS)), max_size=2),
+       st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_trace_matches_a_letter_by_letter_walk(name, word, bad, start):
+    graph = PERMUTATION_GRAPHS[name]
+    start %= graph.n_vertices
+    for at, letter in bad:
+        word = word[:at] + (letter,) + word[at:]
+    assert outcome(graph.trace, word, start) == outcome(oracle_walk, graph, word, start)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((0, 1), "malformed letter (0, 1)"),
+    (GenLetter(0, 2), "malformed letter GenLetter(index=0, sign=2)"),
+    (GenLetter(2, -1), "letter index 2 out of range for 2 generators"),
+])
+def test_a_bad_letter_after_a_hundred_good_ones(bad, message):
+    good = w("ab" * 50)
+    for word in ((bad,), good + (bad,), good + (bad,) + good):
+        with pytest.raises(ValueError) as info:
+            word_problem_finite(word, D5)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            D5.trace(word, 3)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("neighbors, message", [

@@ -351,6 +351,12 @@ class TestErrors:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("status: complete\ncosets: 256\ndelta: ")
 
+    def test_delta_on_256_cosets(self, tmp_path, capsys):
+        # D128, the largest table --delta takes, measured for real
+        argv = ["cayley", "--presentation", self.dihedral(tmp_path, 128), "--delta"]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("status: complete\ncosets: 256\ndelta: 32\n", "")
+
 
 class TestParser:
     def test_preset_choices_are_the_catalog_tables(self):

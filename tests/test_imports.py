@@ -17,9 +17,10 @@ A class is a dataclass only when its constructor checks its input in
 that rule.
 
 A plain tuple equals the GenLetter with the same fields, and only
-``words.distinct_letters`` tells the two apart; one check keeps that
-test there.  Deep input must not cost Python recursion, so the last
-check finds every function that calls itself by name.
+``words.only_gen_letters`` tells the two apart (``distinct_letters`` and
+the Cayley walk call it); one check keeps that test there.  Deep input
+must not cost Python recursion, so the last check finds every function
+that calls itself by name.
 """
 
 import ast
@@ -199,9 +200,9 @@ def plain_tuple_guards(source):
             if PLAIN_TUPLE_GUARD.search(line)]
 
 
-def test_plain_tuples_are_told_apart_in_distinct_letters():
+def test_plain_tuples_are_told_apart_in_one_predicate():
     found = {p.name: plain_tuple_guards(p.read_text(encoding="utf-8")) for p in SOURCES}
-    assert {name: f for name, f in found.items() if f} == {"words.py": ["distinct_letters"]}
+    assert {name: f for name, f in found.items() if f} == {"words.py": ["only_gen_letters"]}
 
 
 def test_flags_a_plain_tuple_guard_written_again():
